@@ -24,6 +24,7 @@ from .framework import (
     build_B,
     check_sorting_condition,
     local_lhs,
+    local_terms,
     square_fold_B,
     square_restrict_A,
     verify_inversion,

@@ -16,6 +16,7 @@ from .core import (
     Filling,
     Partition,
     compositions,
+    has_shape_and_content,
     last_part_sum,
     multiset_diff,
     multiset_intersect,
@@ -23,6 +24,7 @@ from .core import (
     multiplicity,
     partial_sum_product,
     partitions,
+    require_partition,
     sort_comp,
 )
 from .framework import IndexedMatrix, LocalSystem
@@ -39,6 +41,7 @@ def enumerate_obt(lam: Partition, beta: Composition) -> list[Filling]:
     Equivalently: assignments of bricks 1..len(beta) to rows such that each
     row is exactly tiled; the filling is then forced.
     """
+    require_partition(lam)
     if sum(lam) != sum(beta):
         raise ValueError("size mismatch")
     assignments: list[tuple[int, ...]] = []
@@ -64,12 +67,7 @@ def enumerate_obt(lam: Partition, beta: Composition) -> list[Filling]:
 
 
 def is_obt(filling: Filling, lam: Partition, beta: Composition) -> bool:
-    if filling.shape != tuple(lam):
-        return False
-    try:
-        if filling.content() != tuple(beta):
-            return False
-    except ValueError:
+    if not has_shape_and_content(filling, lam, beta):
         return False
     for k in range(1, len(beta) + 1):
         if len({i for i, _ in filling.cells_of(k)}) != 1:
@@ -331,6 +329,7 @@ def brick_local_g(
     n = sum(lam)
     if n != sum(mu) or n == 0:
         raise ValueError("shapes must have equal positive size")
+    require_partition(lam, mu)
 
     def term(gamma: Partition) -> Fraction:
         removed = multiset_diff(lam, gamma)

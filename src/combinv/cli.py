@@ -17,7 +17,7 @@ from .framework import (
     IndexedMatrix,
     build_A,
     build_B,
-    local_lhs,
+    local_terms,
     square_fold_B,
     square_restrict_A,
     verify_inversion,
@@ -101,15 +101,10 @@ def _cmd_verify(args, out) -> int:
 def _cmd_local(args, out) -> int:
     lam = parse_shape(args.lam)
     mu = parse_shape(args.mu)
-    system = _SYSTEMS[args.app]()
-    value = local_lhs(system, lam, mu)
-    shared = []
-    for length in range(1, sum(lam) + 1):
-        common = set(system.succ_a(lam, length)) & set(system.succ_b(mu, length))
-        for gamma in sorted(common, reverse=True):
-            term = system.weight_a(lam, gamma) * system.weight_b(mu, gamma)
-            shared.append({"gamma": list(gamma), "term": format_rational(term)})
-    json.dump({"G": shared, "total": format_rational(value)}, out)
+    terms = local_terms(_SYSTEMS[args.app](), lam, mu)
+    shared = [{"gamma": list(g), "term": format_rational(t)} for g, t in terms]
+    total = sum(t for _, t in terms)
+    json.dump({"G": shared, "total": format_rational(total)}, out)
     out.write("\n")
     return 0
 

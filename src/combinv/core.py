@@ -62,6 +62,13 @@ def is_partition(seq: tuple[int, ...]) -> bool:
     return all(a >= b for a, b in zip(seq, seq[1:])) and all(a >= 1 for a in seq)
 
 
+def require_partition(*shapes: tuple[int, ...]) -> None:
+    """Raise ValueError unless every shape is a partition."""
+    for shape in shapes:
+        if not is_partition(shape):
+            raise ValueError("%r is not a partition" % (tuple(shape),))
+
+
 def sort_comp(alpha: Composition) -> Partition:
     """Weakly decreasing rearrangement of a composition."""
     return tuple(sorted(alpha, reverse=True))
@@ -298,6 +305,18 @@ class Filling:
 
 
 EMPTY_FILLING = Filling(())
+
+
+def has_shape_and_content(
+    filling: Filling, shape: tuple[int, ...], content: Composition
+) -> bool:
+    """The filling has row lengths `shape` and label counts `content`."""
+    if filling.shape != tuple(shape):
+        return False
+    try:
+        return filling.content() == tuple(content)
+    except ValueError:
+        return False
 
 
 def row_filling(shape: Partition) -> Filling:

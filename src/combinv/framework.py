@@ -2,15 +2,18 @@
 
 A `LocalSystem` packages the data each application supplies: the shape sets
 R(n), the one-step successor sets for both matrix families, and the two
-weight functions.  From those, `build_A`/`build_B` construct the full
-matrices bottom-up, and the identity A_n * B_n = I can be checked either
-directly (`verify_inversion`) or one shape pair at a time (`verify_local`).
+weight functions.  One recursion builds both families bottom-up, each call
+from level 0 (no state is kept on the system): `build_A` runs it with the
+A-side successors and weights, `build_B` with the B-side ones and returns
+the transpose.  The identity A_n * B_n = I can be checked either directly
+(`verify_inversion`) or one shape pair at a time (`verify_local`), where
+`local_terms` lists the shared one-step successors and their terms.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -21,6 +24,7 @@ from .core import (
     partitions,
     rational_from_json,
     rational_to_json,
+    require_partition,
     sort_comp,
     truncate,
 )
@@ -168,79 +172,85 @@ class LocalSystem:
     succ_b: Callable[[Shape, int], list[Shape]]
     weight_a: Callable[[Shape, Shape], Fraction]
     weight_b: Callable[[Shape, Shape], Fraction]
-    _memo_a: dict[int, IndexedMatrix] = field(default_factory=dict, repr=False)
-    _memo_b: dict[int, IndexedMatrix] = field(default_factory=dict, repr=False)
 
 
-def build_A(system: LocalSystem, n: int) -> IndexedMatrix:
-    """R(n) x C(n) matrix built by the A-side recursion (memoized per system)."""
+def _recursion(
+    system: LocalSystem,
+    n: int,
+    succ: Callable[[Shape, int], list[Shape]],
+    weight: Callable[[Shape, Shape], Fraction],
+) -> tuple[list[Shape], list[Shape], list[list[Fraction]]]:
+    """Rows R(n), columns C(n) and entries of M_n, built up from M_0 = [1] by
+
+        M_m(s, beta) = sum over g in succ(s, L) of weight(s, g) * M_{m-L}(g, beta*)
+
+    where (beta*, L) = truncate(beta).  The top level is returned as raw rows
+    so that a caller can transpose it before wrapping it once.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for m in range(n + 1):
-        if m in system._memo_a:
-            continue
-        if m == 0:
-            shapes = system.shapes(0)
-            if len(shapes) != 1:
-                raise ValueError("R(0) must contain exactly one shape")
-            system._memo_a[0] = IndexedMatrix(shapes, [()], [[Fraction(1)]])
-            continue
-        rows = system.shapes(m)
-        cols = compositions(m)
+    rows = system.shapes(0)
+    if len(rows) != 1:
+        raise ValueError("R(0) must contain exactly one shape")
+    cols, entries = [()], [[Fraction(1)]]
+    levels: list[IndexedMatrix] = []
+    for m in range(1, n + 1):
+        levels.append(IndexedMatrix(rows, cols, entries))
+        rows, cols = system.shapes(m), compositions(m)
         entries = []
-        for lam in rows:
+        for shape in rows:
             row = []
             for beta in cols:
                 beta_star, last = truncate(beta)
-                prev = system._memo_a[m - last]
+                prev = levels[m - last]
                 total = Fraction(0)
-                for gamma in system.succ_a(lam, last):
-                    total += system.weight_a(lam, gamma) * prev.entry(gamma, beta_star)
+                for gamma in succ(shape, last):
+                    total += weight(shape, gamma) * prev.entry(gamma, beta_star)
                 row.append(total)
             entries.append(row)
-        system._memo_a[m] = IndexedMatrix(rows, cols, entries)
-    return system._memo_a[n]
+    return rows, cols, entries
+
+
+def build_A(system: LocalSystem, n: int) -> IndexedMatrix:
+    """R(n) x C(n) matrix of the recursion with the A-side successors and weights."""
+    return IndexedMatrix(*_recursion(system, n, system.succ_a, system.weight_a))
 
 
 def build_B(system: LocalSystem, n: int) -> IndexedMatrix:
-    """C(n) x R(n) matrix built by the B-side recursion (memoized per system)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    for m in range(n + 1):
-        if m in system._memo_b:
-            continue
-        if m == 0:
-            shapes = system.shapes(0)
-            system._memo_b[0] = IndexedMatrix([()], shapes, [[Fraction(1)]])
-            continue
-        rows = compositions(m)
-        cols = system.shapes(m)
-        entries = []
-        for beta in rows:
-            beta_star, last = truncate(beta)
-            prev = system._memo_b[m - last]
-            row = []
-            for mu in cols:
-                total = Fraction(0)
-                for delta in system.succ_b(mu, last):
-                    total += system.weight_b(mu, delta) * prev.entry(beta_star, delta)
-                row.append(total)
-            entries.append(row)
-        system._memo_b[m] = IndexedMatrix(rows, cols, entries)
-    return system._memo_b[n]
+    """C(n) x R(n) matrix: the transpose of the recursion with the B-side
+    successors and weights."""
+    rows, cols, entries = _recursion(system, n, system.succ_b, system.weight_b)
+    return IndexedMatrix(
+        cols, rows, [[row[j] for row in entries] for j in range(len(cols))]
+    )
+
+
+def local_terms(
+    system: LocalSystem, lam: Shape, mu: Shape
+) -> list[tuple[Shape, Fraction]]:
+    """The shared one-step successors gamma of lam (A side) and mu (B side),
+    each with its term weight_a(lam, gamma) * weight_b(mu, gamma).
+
+    Ordered by the removed size L, then by gamma descending.
+    """
+    n = sum(lam)
+    if n != sum(mu) or n == 0:
+        raise ValueError("shapes must have equal positive size")
+    if system.shapes is partitions:
+        require_partition(lam, mu)
+    terms = []
+    for length in range(1, n + 1):
+        shared = set(system.succ_a(lam, length)) & set(system.succ_b(mu, length))
+        if shared:  # most lengths share nothing, and verify_local asks every pair
+            for gamma in sorted(shared, reverse=True):
+                term = system.weight_a(lam, gamma) * system.weight_b(mu, gamma)
+                terms.append((gamma, term))
+    return terms
 
 
 def local_lhs(system: LocalSystem, lam: Shape, mu: Shape) -> Fraction:
     """Sum of weight_a * weight_b over shared one-step successors of lam, mu."""
-    n = sum(lam)
-    if n != sum(mu) or n == 0:
-        raise ValueError("shapes must have equal positive size")
-    total = Fraction(0)
-    for length in range(1, n + 1):
-        shared = set(system.succ_a(lam, length)) & set(system.succ_b(mu, length))
-        for gamma in shared:
-            total += system.weight_a(lam, gamma) * system.weight_b(mu, gamma)
-    return total
+    return sum([term for _, term in local_terms(system, lam, mu)], Fraction(0))
 
 
 @dataclass

@@ -30,8 +30,8 @@ from .kostka import (
     is_srht,
     is_ssyt,
     kostka_pair,
+    rht_sign,
     srht_find,
-    srht_sign,
 )
 from .rimhook import (
     Permutation,
@@ -41,7 +41,6 @@ from .rimhook import (
     cyc_comp,
     enumerate_rht,
     is_rht,
-    rht_sign,
     rimhook_pair,
 )
 
@@ -75,7 +74,7 @@ class KostkaPair:
 
     @property
     def sign(self) -> int:
-        return srht_sign(self.t)
+        return rht_sign(self.t)
 
     def to_json(self) -> dict:
         return {"S": self.s.to_json(), "T": self.t.to_json()}

@@ -15,7 +15,9 @@ from .core import (
     Filling,
     Partition,
     diagram,
+    has_shape_and_content,
     partitions,
+    require_partition,
     shape_contains,
     skew_sign,
 )
@@ -67,18 +69,22 @@ def hook_sign(cells: frozenset[Cell]) -> int:
     return -1 if (len(rows) - 1) % 2 else 1
 
 
+def rht_sign(filling: Filling) -> int:
+    """Product of the hook signs of the label classes of a (special) rim-hook
+    tableau."""
+    sign = 1
+    for k in range(1, filling.max_label() + 1):
+        sign *= hook_sign(filling.cells_of(k))
+    return sign
+
+
 # ---------------------------------------------------------------------------
 # Semistandard Young tableaux
 # ---------------------------------------------------------------------------
 
 def is_ssyt(filling: Filling, lam: Partition, beta: Composition) -> bool:
     """Shape lam, content beta, rows weakly increasing, columns strict."""
-    if filling.shape != tuple(lam):
-        return False
-    try:
-        if filling.content() != tuple(beta):
-            return False
-    except ValueError:
+    if not has_shape_and_content(filling, lam, beta):
         return False
     for row in filling.rows:
         if any(a > b for a, b in zip(row, row[1:])):
@@ -125,6 +131,7 @@ def enumerate_ssyt(lam: Partition, beta: Composition) -> list[Filling]:
     recursion the Kostka matrices satisfy; output is sorted row-major for
     reproducibility.
     """
+    require_partition(lam)
     if sum(lam) != sum(beta):
         raise ValueError("size mismatch")
 
@@ -169,6 +176,7 @@ def srht_find(mu: Partition, beta: Composition) -> tuple[Filling, int] | None:
     Greedy removal from the last part of beta backwards; uniqueness of each
     removal makes backtracking unnecessary.
     """
+    require_partition(mu)
     if sum(mu) != sum(beta):
         raise ValueError("size mismatch")
     labels: dict[Cell, int] = {}
@@ -194,25 +202,13 @@ def srht_find(mu: Partition, beta: Composition) -> tuple[Filling, int] | None:
 
 def is_srht(filling: Filling, mu: Partition, beta: Composition) -> bool:
     """Each label class a special rim-hook of the right size; column 1 sorted."""
-    if filling.shape != tuple(mu):
-        return False
-    try:
-        if filling.content() != tuple(beta):
-            return False
-    except ValueError:
+    if not has_shape_and_content(filling, mu, beta):
         return False
     for k in range(1, len(beta) + 1):
         if not is_special_rim_hook(filling.cells_of(k)):
             return False
     col1 = [row[0] for row in filling.rows]
     return all(a <= b for a, b in zip(col1, col1[1:]))
-
-
-def srht_sign(filling: Filling) -> int:
-    sign = 1
-    for k in range(1, filling.max_label() + 1):
-        sign *= hook_sign(filling.cells_of(k))
-    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +240,7 @@ def kostka_pair(lam: Partition, mu: Partition) -> Pairing:
     """
     if sum(lam) != sum(mu) or not lam:
         raise ValueError("shapes must have equal positive size")
+    require_partition(lam, mu)
     if lam == mu:
         return Pairing("diagonal", ((lam[:-1], 1),))
     removals = srh_removals(mu)

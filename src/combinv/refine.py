@@ -97,32 +97,22 @@ def cbt_find(shape: Composition, content: Composition) -> tuple[CBT, int] | None
 # Incidence matrices, closed form and recursion
 # ---------------------------------------------------------------------------
 
+def _refinement_matrix(n: int, entry) -> IndexedMatrix:
+    """C(n) x C(n) matrix whose (row, col) entry is entry(row, col)."""
+    keys = compositions(n)
+    return IndexedMatrix(keys, keys, [[entry(r, c) for c in keys] for r in keys])
+
+
 def incidence_matrix(n: int) -> IndexedMatrix:
     """A(lam, beta) = 1 iff lam refines beta."""
-    keys = compositions(n)
-    return IndexedMatrix(
-        keys,
-        keys,
-        [[Fraction(1 if refines(lam, beta) else 0) for beta in keys] for lam in keys],
-    )
+    return _refinement_matrix(n, lambda lam, beta: int(refines(lam, beta)))
 
 
 def mobius_matrix(n: int) -> IndexedMatrix:
     """B(beta, mu) = (-1)^(len(beta)-len(mu)) iff beta refines mu."""
-    keys = compositions(n)
-    return IndexedMatrix(
-        keys,
-        keys,
-        [
-            [
-                Fraction(
-                    (-1 if (len(beta) - len(mu)) % 2 else 1)
-                    * (1 if refines(beta, mu) else 0)
-                )
-                for mu in keys
-            ]
-            for beta in keys
-        ],
+    return _refinement_matrix(
+        n,
+        lambda beta, mu: (-1) ** (len(beta) - len(mu)) if refines(beta, mu) else 0,
     )
 
 
@@ -181,19 +171,8 @@ def local_g_refine(lam: Composition, mu: Composition) -> list[tuple[Composition,
 def self_inverse_matrix(n: int) -> IndexedMatrix:
     """The sign-twisted incidence matrix (-1)^(n-len(lam)) * [lam refines beta],
     which is its own inverse."""
-    keys = compositions(n)
-    return IndexedMatrix(
-        keys,
-        keys,
-        [
-            [
-                Fraction(
-                    (-1 if (n - len(lam)) % 2 else 1) * (1 if refines(lam, beta) else 0)
-                )
-                for beta in keys
-            ]
-            for lam in keys
-        ],
+    return _refinement_matrix(
+        n, lambda lam, beta: (-1) ** (n - len(lam)) if refines(lam, beta) else 0
     )
 
 
@@ -233,32 +212,22 @@ def weighted_system() -> LocalSystem:
 
 def weighted_incidence_matrix(n: int) -> IndexedMatrix:
     """A(lam, beta) = L_{beta,lam} when lam refines beta, else 0."""
-    keys = compositions(n)
-    entries = []
-    for lam in keys:
-        row = []
-        for beta in keys:
-            row.append(
-                Fraction(weighted_factors(beta, lam)[1]) if refines(lam, beta) else Fraction(0)
-            )
-        entries.append(row)
-    return IndexedMatrix(keys, keys, entries)
+    return _refinement_matrix(
+        n,
+        lambda lam, beta: weighted_factors(beta, lam)[1] if refines(lam, beta) else 0,
+    )
 
 
 def weighted_mobius_matrix(n: int) -> IndexedMatrix:
     """B(beta, mu) = (-1)^(len(beta)-len(mu)) / Z_{mu,beta} when beta refines mu."""
-    keys = compositions(n)
-    entries = []
-    for beta in keys:
-        row = []
-        for mu in keys:
-            if refines(beta, mu):
-                sign = -1 if (len(beta) - len(mu)) % 2 else 1
-                row.append(Fraction(sign, weighted_factors(mu, beta)[0]))
-            else:
-                row.append(Fraction(0))
-        entries.append(row)
-    return IndexedMatrix(keys, keys, entries)
+    return _refinement_matrix(
+        n,
+        lambda beta, mu: (
+            Fraction((-1) ** (len(beta) - len(mu)), weighted_factors(mu, beta)[0])
+            if refines(beta, mu)
+            else 0
+        ),
+    )
 
 
 def h_to_psi_matrix(n: int) -> IndexedMatrix:
@@ -268,32 +237,23 @@ def h_to_psi_matrix(n: int) -> IndexedMatrix:
     This is the weighted Moebius matrix with its sign redistributed onto the
     partner matrix; the pair below is mutually inverse.
     """
-    keys = compositions(n)
-    entries = []
-    for beta in keys:
-        row = []
-        for lam in keys:
-            if refines(lam, beta):
-                row.append(Fraction(1, weighted_factors(beta, lam)[0]))
-            else:
-                row.append(Fraction(0))
-        entries.append(row)
-    return IndexedMatrix(keys, keys, entries)
+    return _refinement_matrix(
+        n,
+        lambda beta, lam: (
+            Fraction(1, weighted_factors(beta, lam)[0]) if refines(lam, beta) else 0
+        ),
+    )
 
 
 def psi_to_h_matrix(n: int) -> IndexedMatrix:
     """Transition from the power-sum to the complete homogeneous basis of
     NSym: entry (mu, beta) = (-1)^(len(mu)-len(beta)) * L_{mu,beta} when beta
     refines mu."""
-    keys = compositions(n)
-    entries = []
-    for mu in keys:
-        row = []
-        for beta in keys:
-            if refines(beta, mu):
-                sign = -1 if (len(mu) - len(beta)) % 2 else 1
-                row.append(Fraction(sign * weighted_factors(mu, beta)[1]))
-            else:
-                row.append(Fraction(0))
-        entries.append(row)
-    return IndexedMatrix(keys, keys, entries)
+    return _refinement_matrix(
+        n,
+        lambda mu, beta: (
+            (-1) ** (len(mu) - len(beta)) * weighted_factors(mu, beta)[1]
+            if refines(beta, mu)
+            else 0
+        ),
+    )

@@ -20,13 +20,15 @@ from .core import (
     Partition,
     column_length,
     diagram,
+    has_shape_and_content,
     partial_sum_product,
     partitions,
+    require_partition,
     shape_of_cells,
     skew_sign,
 )
 from .framework import IndexedMatrix, LocalSystem, Pairing, build_B
-from .kostka import hook_sign, is_rim_hook
+from .kostka import is_rim_hook
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +109,7 @@ def enumerate_rht(lam: Partition, beta: Composition) -> list[tuple[Filling, int]
     Recurses on removal of the top-label hook, visiting removable hooks in
     border-number order so the output order is deterministic.
     """
+    require_partition(lam)
     if sum(lam) != sum(beta):
         raise ValueError("size mismatch")
 
@@ -128,12 +131,7 @@ def enumerate_rht(lam: Partition, beta: Composition) -> list[tuple[Filling, int]
 def is_rht(filling: Filling, lam: Partition, beta: Composition) -> bool:
     """Label classes are rim-hooks of the right sizes and every label prefix
     of the filling is a partition diagram."""
-    if filling.shape != tuple(lam):
-        return False
-    try:
-        if filling.content() != tuple(beta):
-            return False
-    except ValueError:
+    if not has_shape_and_content(filling, lam, beta):
         return False
     cells: set[Cell] = set()
     for k in range(1, len(beta) + 1):
@@ -148,13 +146,6 @@ def is_rht(filling: Filling, lam: Partition, beta: Composition) -> bool:
         if not all(a >= b for a, b in zip(prefix, prefix[1:])):
             return False
     return True
-
-
-def rht_sign(filling: Filling) -> int:
-    sign = 1
-    for k in range(1, filling.max_label() + 1):
-        sign *= hook_sign(filling.cells_of(k))
-    return sign
 
 
 def rimhook_system() -> LocalSystem:
@@ -229,6 +220,7 @@ class Abacus:
 
 def abacus_from_partition(lam: Partition, beads: int) -> Abacus:
     """The bead word whose gaps trace the border path of dg(lam)."""
+    require_partition(lam)
     if beads < len(lam):
         raise ValueError("need at least one bead per row")
     bits = [1] * (beads - len(lam))
@@ -275,6 +267,7 @@ def rimhook_pair(lam: Partition, mu: Partition) -> Pairing:
     n = sum(lam)
     if n != sum(mu) or n == 0:
         raise ValueError("shapes must have equal positive size")
+    require_partition(lam, mu)
     if lam == mu:
         return Pairing(
             "diagonal", tuple((gamma, 1) for gamma, _, _ in hook_removals(lam))

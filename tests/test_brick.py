@@ -44,6 +44,8 @@ class TestObtEnumeration:
         assert len(enumerate_obt((1, 1, 1, 1), (1, 1, 1, 1))) == 24
         with pytest.raises(ValueError):
             enumerate_obt((2,), (1,))
+        with pytest.raises(ValueError, match="not a partition"):
+            enumerate_obt((1, 2), (2, 1))
 
     def test_objects_are_valid(self):
         for n in range(1, 6):
@@ -216,6 +218,10 @@ class TestLocalEvaluation:
     def test_two_part_difference_is_empty(self):
         terms, total = brick_local_g((4, 4, 1), (3, 3, 2, 1))
         assert terms == [] and total == 0
+
+    def test_non_partition(self):
+        with pytest.raises(ValueError, match="not a partition"):
+            brick_local_g((2, 1), (1, 2))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_framework(self, n):

@@ -62,7 +62,49 @@ class TestVerifyCommand:
         assert code == 0
 
 
+# stdout of `combinv local`, one off-diagonal pair per app plus one diagonal
+LOCAL_GOLDENS = [
+    (
+        "kostka", "6,4,2,1", "4,3,3,3",
+        '{"G": [{"gamma": [4, 3, 2], "term": "-1"}, '
+        '{"gamma": [4, 2, 2], "term": "1"}], "total": "0"}',
+    ),
+    (
+        "rimhook", "5,3,2", "4,4,2",
+        '{"G": [{"gamma": [4, 3, 2], "term": "1/10"}, '
+        '{"gamma": [3, 3, 2], "term": "-1/10"}], "total": "0"}',
+    ),
+    (
+        "rimhook", "3,1", "3,1",
+        '{"G": [{"gamma": [3], "term": "1/4"}, {"gamma": [2, 1], "term": "1/4"}, '
+        '{"gamma": [1, 1], "term": "1/4"}, {"gamma": [], "term": "1/4"}], '
+        '"total": "1"}',
+    ),
+    (
+        "refine", "4,1,3,2,1,3", "4,1,3,6",
+        '{"G": [{"gamma": [4, 1, 3, 2], "term": "-1"}, '
+        '{"gamma": [4, 1, 3], "term": "1"}], "total": "0"}',
+    ),
+    (
+        "refine-weighted", "4,1,3,2,1,3", "4,1,3,6",
+        '{"G": [{"gamma": [4, 1, 3, 2], "term": "-1/2"}, '
+        '{"gamma": [4, 1, 3], "term": "1/2"}], "total": "0"}',
+    ),
+    (
+        "brick", "5,2,2,1", "3,2,2,1,1,1",
+        '{"G": [{"gamma": [3, 2, 2, 1], "term": "-1/10"}, '
+        '{"gamma": [2, 2, 1, 1], "term": "-2/5"}, '
+        '{"gamma": [2, 2, 1], "term": "1/2"}], "total": "0"}',
+    ),
+]
+
+
 class TestLocalAndPair:
+    @pytest.mark.parametrize("app, lam, mu, expected", LOCAL_GOLDENS)
+    def test_local_golden(self, app, lam, mu, expected):
+        code, text = run_cli("local", "--app", app, "--lambda", lam, "--mu", mu)
+        assert (code, text) == (0, expected + "\n")
+
     def test_local_brick_example(self):
         code, text = run_cli(
             "local", "--app", "brick", "--lambda", "5,2,2,1", "--mu", "3,2,2,1,1,1"
@@ -208,3 +250,15 @@ class TestUsage:
     def test_pair_size_mismatch(self):
         code, _ = run_cli("pair", "--app", "kostka", "--lambda", "3", "--mu", "2,2")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["local", "--app", "brick", "--lambda", "2,1", "--mu", "1,2"],
+            ["abacus", "--partition", "2,3", "--beads", "3"],
+            ["pair", "--app", "rimhook", "--lambda", "1,2", "--mu", "2,1"],
+            ["enumerate", "--kind", "rht", "--shape", "1,3", "--content", "2,2"],
+        ],
+    )
+    def test_non_partition_is_usage_error(self, argv):
+        assert run_cli(*argv) == (2, "")

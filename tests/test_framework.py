@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from combinv.framework import (
     check_sorting_condition,
     key_string,
     local_lhs,
+    local_terms,
     square_fold_B,
     square_restrict_A,
     verify_inversion,
@@ -111,6 +113,11 @@ class TestInversionAndLocal:
         with pytest.raises(ValueError):
             local_lhs(kostka_system(), (2,), (1, 1, 1))
 
+    @pytest.mark.parametrize("make", [kostka_system, rimhook_system, obt_system])
+    def test_local_terms_reject_non_partitions(self, make):
+        with pytest.raises(ValueError, match="not a partition"):
+            local_terms(make(), (2, 1), (1, 2))
+
     def test_broken_system_fails_both_ways(self):
         # sabotage one weight: the local check and the product check must
         # both detect it, reflecting their equivalence
@@ -160,6 +167,22 @@ class TestSortingAndSquares:
 
 
 class TestOrderIndependence:
+    def test_replaced_callbacks_are_used(self):
+        # a copy made with dataclasses.replace must build from its own
+        # callbacks, never from matrices built earlier for the original
+        system = kostka_system()
+        plain_a, plain_b = build_A(system, 3), build_B(system, 3)
+        doubled_a = build_A(replace(system, weight_a=lambda *_: Fraction(2)), 3)
+        negated_b = build_B(
+            replace(system, weight_b=lambda mu, delta: -system.weight_b(mu, delta)), 3
+        )
+        for lam in partitions(3):
+            for beta in compositions(3):
+                scale = 2 ** len(beta)
+                assert doubled_a.entry(lam, beta) == scale * plain_a.entry(lam, beta)
+                sign = (-1) ** len(beta)
+                assert negated_b.entry(beta, lam) == sign * plain_b.entry(beta, lam)
+
     def test_build_is_deterministic(self):
         first = build_A(kostka_system(), 5)
         second = build_A(kostka_system(), 5)

@@ -20,8 +20,8 @@ from combinv.kostka import (
     kostka_pair,
     kostka_system,
     srh_removals,
+    rht_sign,
     srht_find,
-    srht_sign,
     strip_removals,
 )
 
@@ -152,7 +152,7 @@ class TestSrht:
                     found = srht_find(mu, beta)
                     if found is not None:
                         assert is_srht(found[0], mu, beta)
-                        assert srht_sign(found[0]) == found[1]
+                        assert rht_sign(found[0]) == found[1]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_signed_sums_match_matrix(self, n):
@@ -210,6 +210,14 @@ class TestPair:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             kostka_pair((2, 1), (2, 2))
+
+    def test_non_partition(self):
+        with pytest.raises(ValueError, match="not a partition"):
+            kostka_pair((1, 2), (2, 1))
+        with pytest.raises(ValueError, match="not a partition"):
+            enumerate_ssyt((1, 2), (2, 1))
+        with pytest.raises(ValueError, match="not a partition"):
+            srht_find((1, 2), (3,))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_exactness_against_brute_force(self, n):

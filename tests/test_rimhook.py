@@ -21,7 +21,7 @@ from combinv.framework import (
     square_fold_B,
     square_restrict_A,
 )
-from combinv.kostka import hook_sign, is_rim_hook
+from combinv.kostka import hook_sign, is_rim_hook, rht_sign
 from combinv.rimhook import (
     Abacus,
     Permutation,
@@ -38,7 +38,6 @@ from combinv.rimhook import (
     factorial_scaled_b,
     hook_removals,
     is_rht,
-    rht_sign,
     rimhook_pair,
     rimhook_system,
 )
@@ -199,6 +198,10 @@ class TestAbacus:
         with pytest.raises(ValueError):
             abacus_from_partition((2, 1, 1), 2)
 
+    def test_non_partition(self):
+        with pytest.raises(ValueError, match="not a partition"):
+            abacus_from_partition((2, 3), 3)
+
     def test_worked_removal(self):
         abacus = abacus_from_partition((4, 3, 3, 2, 2, 1), 9)
         moved, sign = abacus_move_bead(abacus, 10, 5)
@@ -282,6 +285,12 @@ class TestPair:
         pairing = rimhook_pair((4,), (2, 2))
         assert pairing.kind == "matched"
         assert sum(sign for _, sign in pairing.members) == 0
+
+    def test_non_partition(self):
+        with pytest.raises(ValueError, match="not a partition"):
+            rimhook_pair((1, 2), (2, 1))
+        with pytest.raises(ValueError, match="not a partition"):
+            enumerate_rht((1, 3), (2, 2))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_exactness_against_brute_force(self, n):
