@@ -2,7 +2,7 @@
 
 All state lives in flags, and output is byte-deterministic for fixed
 arguments.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 malformed input file.
+3 malformed input file, 4 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -299,6 +299,9 @@ def run(argv: list[str], out=None) -> int:
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 3
+    except AssertionError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 4
 
 
 def main() -> None:

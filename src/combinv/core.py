@@ -1,12 +1,17 @@
-"""Partitions, compositions, diagrams, fillings, and shared scalar invariants.
+"""Partitions, compositions, diagrams, fillings, shape chains, and shared
+scalar invariants.
 
 Shapes are plain tuples of positive integers; all arithmetic is exact
-(Python ints and fractions.Fraction).  Every function here is pure, so the
-whole module is safe for concurrent use.
+(Python ints and fractions.Fraction).  A tableau built one incremental
+structure at a time is its chain of label-prefix shapes () = g0, g1, ..., g_m:
+the bijection layer works on these chains and converts to a Filling only at
+its public surface.  Every function here is pure, so the whole module is safe
+for concurrent use.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -15,6 +20,7 @@ from math import factorial
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
 Cell = tuple[int, int]
+Chain = tuple[Partition, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -171,24 +177,6 @@ def diagram(shape: tuple[int, ...]) -> frozenset[Cell]:
     )
 
 
-def shape_of_cells(cells: frozenset[Cell]) -> tuple[int, ...]:
-    """Recover the row-length tuple of a left-justified cell set."""
-    rows: dict[int, set[int]] = {}
-    for i, j in cells:
-        rows.setdefault(i, set()).add(j)
-    if not rows:
-        return ()
-    if set(rows) != set(range(1, max(rows) + 1)):
-        raise ValueError("cells skip a row")
-    shape = []
-    for i in range(1, max(rows) + 1):
-        cols = rows[i]
-        if cols != set(range(1, len(cols) + 1)):
-            raise ValueError("row %d is not left-justified" % i)
-        shape.append(len(cols))
-    return tuple(shape)
-
-
 def shape_contains(outer: Partition, inner: Partition) -> bool:
     """dg(inner) subset of dg(outer), comparing row lengths."""
     if len(inner) > len(outer):
@@ -218,7 +206,9 @@ class Filling:
     """A left-justified diagram with one positive integer label per cell.
 
     Immutable; specializations (semistandard, rim-hook, brick-style fillings)
-    are expressed as validator predicates in the application modules.
+    are expressed as validator predicates in the application modules.  This
+    is the form objects take in the public API and in JSON; see `chain_of`
+    for the form the tableau algorithms work on.
     """
 
     __slots__ = ("rows", "shape")
@@ -230,23 +220,6 @@ class Filling:
         if any(v < 1 for r in self.rows for v in r):
             raise ValueError("labels must be positive")
         self.shape = tuple(len(r) for r in self.rows)
-
-    @classmethod
-    def from_cells(cls, labels: dict[Cell, int]) -> "Filling":
-        shape = shape_of_cells(frozenset(labels))
-        return cls(
-            tuple(
-                tuple(labels[(i, j)] for j in range(1, row + 1))
-                for i, row in enumerate(shape, start=1)
-            )
-        )
-
-    def cell_labels(self) -> dict[Cell, int]:
-        return {
-            (i, j): v
-            for i, row in enumerate(self.rows, start=1)
-            for j, v in enumerate(row, start=1)
-        }
 
     def content(self) -> Composition:
         """Occurrence counts of 1..max; every label up to the max must occur."""
@@ -268,18 +241,6 @@ class Filling:
             for j, v in enumerate(row, start=1)
             if v == label
         )
-
-    def without_label(self, label: int) -> "Filling":
-        kept = {c: v for c, v in self.cell_labels().items() if v != label}
-        return Filling.from_cells(kept)
-
-    def with_cells(self, cells: frozenset[Cell], label: int) -> "Filling":
-        labels = self.cell_labels()
-        for c in cells:
-            if c in labels:
-                raise ValueError("cell %r already filled" % (c,))
-            labels[c] = label
-        return Filling.from_cells(labels)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Filling) and self.rows == other.rows
@@ -322,6 +283,52 @@ def has_shape_and_content(
 def row_filling(shape: Partition) -> Filling:
     """The filling of dg(shape) whose row i is filled with the label i."""
     return Filling(tuple((i,) * row for i, row in enumerate(shape, start=1)))
+
+
+# ---------------------------------------------------------------------------
+# Shape chains
+# ---------------------------------------------------------------------------
+
+def chain_of(filling: Filling) -> Chain | None:
+    """The label-prefix shapes () = g0, g1, ..., g_max of a filling.
+
+    g_k is the shape of the cells labelled at most k.  Returns None unless
+    every g_k is a partition diagram, which holds exactly when the shape is
+    a partition and rows and columns weakly increase.
+    """
+    rows = filling.rows
+    for upper, lower in zip(rows, rows[1:]):
+        if len(lower) > len(upper) or any(a > b for a, b in zip(upper, lower)):
+            return None
+    if any(a > b for row in rows for a, b in zip(row, row[1:])):
+        return None
+    return tuple(
+        tuple(p for p in (bisect_right(row, k) for row in rows) if p)
+        for k in range(filling.max_label() + 1)
+    )
+
+
+def filling_of(chain: Chain) -> Filling:
+    """The filling whose label-prefix shapes are `chain`; inverse of chain_of."""
+    rows: list[list[int]] = [[] for _ in chain[-1]]
+    for label, outer in enumerate(chain[1:], start=1):
+        for row, part in zip(rows, outer):
+            row.extend([label] * (part - len(row)))
+    return Filling(rows)
+
+
+def is_chain_tableau(
+    filling: Filling, shape: tuple[int, ...], content: Composition, step
+) -> bool:
+    """Shape `shape`, content `content`, every label prefix a partition
+    diagram, and step(outer, inner) true for each pair of consecutive
+    prefixes."""
+    if not has_shape_and_content(filling, shape, content):
+        return False
+    chain = chain_of(filling)
+    return chain is not None and all(
+        step(outer, inner) for inner, outer in zip(chain, chain[1:])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Sign-reversing involutions certifying the matrix inversions bijectively.
 
-Both involutions follow the same unrolled plan: strip the outermost
-incremental structures off the paired objects until the two sides agree
-(a "survivor"), swap the survivor for its uniquely-matched partner via the
-local pairing, then restore the stripped structures with renumbered labels.
-The rim-hook variant additionally transports a permutation through choice
-sequences, so that the diagonal fixed-point count is exactly n! per shape.
+Both involutions follow the same unrolled plan on the label-prefix shape
+chains of the two tableaux: strip the outermost incremental structures off
+the paired objects until the two sides agree (a "survivor"), swap the
+survivor for its uniquely-matched partner via the local pairing, then
+restore the stripped structures with renumbered labels.  The rim-hook
+variant additionally transports a permutation through choice sequences, so
+that the diagonal fixed-point count is exactly n! per shape.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ from math import factorial
 
 from .core import (
     Cell,
+    Chain,
     Composition,
     Filling,
     Partition,
+    chain_of,
     compositions,
     diagram,
+    filling_of,
     row_filling,
-    shape_of_cells,
 )
 from .kostka import (
     enumerate_ssyt,
@@ -50,6 +53,45 @@ ChoiceSequence = tuple[int, ...]
 def _trace_step(trace, action: str, before, after):
     if trace is not None:
         trace.append({"action": action, "before": before, "after": after})
+
+
+def _trace_chains(trace, action: str, label: int, s: Chain, t: Chain):
+    if trace is not None:
+        after = {"S": filling_of(s).to_json(), "T": filling_of(t).to_json()}
+        _trace_step(trace, action, {"label": label}, after)
+
+
+def _strip_and_swap(s: Chain, t: Chain, pair_at, trace) -> tuple[int, Partition]:
+    """Strip labels off two distinct chains of one length until they agree,
+    then swap the survivor through the local pairing.
+
+    Returns j, the last index where the chains agree, and the partner of the
+    survivor shape s[j] in pair_at(s[j+1], t[j+1]).
+    """
+    j = 0
+    while s[j + 1] == t[j + 1]:
+        j += 1
+    for label in range(len(s) - 1, j, -1):
+        _trace_chains(trace, "strip", label, s[:label], t[:label])
+    gamma, lam_bar, mu_bar = s[j], s[j + 1], t[j + 1]
+    gamma_new = pair_at(lam_bar, mu_bar).partner_of(gamma)
+    _trace_step(
+        trace,
+        "local_pair",
+        {"gamma": list(gamma), "lam_bar": list(lam_bar), "mu_bar": list(mu_bar)},
+        {"gamma": list(gamma_new)},
+    )
+    return j, gamma_new
+
+
+def _restore(
+    s_head: Chain, t_head: Chain, s: Chain, t: Chain, j: int, trace
+) -> tuple[Filling, Filling]:
+    """Push the shapes stripped above index j+1 back onto the new heads."""
+    for k in range(j + 2, len(s)):
+        s_head, t_head = s_head + (s[k],), t_head + (t[k],)
+        _trace_chains(trace, "restore", len(s_head) - 1, s_head, t_head)
+    return filling_of(s_head), filling_of(t_head)
 
 
 # ---------------------------------------------------------------------------
@@ -100,47 +142,10 @@ def kostka_involution(pair: KostkaPair, trace: list | None = None) -> KostkaPair
         if pair.s != row_filling(pair.s.shape):
             raise AssertionError("equal components must form the survivor")
         return None
-    s_cur, t_cur = pair.s, pair.t
-    removed: list[tuple[frozenset[Cell], frozenset[Cell]]] = []
-    while s_cur != t_cur:
-        label = s_cur.max_label()
-        eta, rho = s_cur.cells_of(label), t_cur.cells_of(label)
-        removed.append((eta, rho))
-        s_cur, t_cur = s_cur.without_label(label), t_cur.without_label(label)
-        _trace_step(
-            trace,
-            "strip",
-            {"label": label},
-            {"S": s_cur.to_json(), "T": t_cur.to_json()},
-        )
-    gamma = s_cur.shape
-    eta, rho = removed.pop()
-    lam_bar = shape_of_cells(diagram(gamma) | eta)
-    mu_bar = shape_of_cells(diagram(gamma) | rho)
-    if lam_bar == mu_bar:
-        raise AssertionError("pending structures cannot agree at the first survivor")
-    pairing = kostka_pair(lam_bar, mu_bar)
-    gamma_new = pairing.partner_of(gamma)
-    _trace_step(
-        trace,
-        "local_pair",
-        {"gamma": list(gamma), "lam_bar": list(lam_bar), "mu_bar": list(mu_bar)},
-        {"gamma": list(gamma_new)},
-    )
-    label = len(gamma_new) + 1
-    s_new = row_filling(gamma_new).with_cells(diagram(lam_bar) - diagram(gamma_new), label)
-    t_new = row_filling(gamma_new).with_cells(diagram(mu_bar) - diagram(gamma_new), label)
-    for eta_i, rho_i in reversed(removed):
-        label += 1
-        s_new = s_new.with_cells(eta_i, label)
-        t_new = t_new.with_cells(rho_i, label)
-        _trace_step(
-            trace,
-            "restore",
-            {"label": label},
-            {"S": s_new.to_json(), "T": t_new.to_json()},
-        )
-    return KostkaPair(s_new, t_new)
+    s, t = chain_of(pair.s), chain_of(pair.t)
+    j, gamma_new = _strip_and_swap(s, t, kostka_pair, trace)
+    head = chain_of(row_filling(gamma_new))
+    return KostkaPair(*_restore(head + (s[j + 1],), head + (t[j + 1],), s, t, j, trace))
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +171,16 @@ def f_lambda(
     if len(choices) != n:
         raise ValueError("choice sequence must have length n")
     available = sorted(ground)
-    shape = tuple(lam)
+    shapes = [tuple(lam)]
     pos = 0
-    hooks: list[frozenset[Cell]] = []
     cycles: list[tuple[int, ...]] = []
-    while shape:
+    while shapes[-1]:
+        shape = shapes[-1]
         pick = choices[pos]
         pos += 1
         if not 1 <= pick <= sum(shape):
             raise ValueError("hook choice out of bounds")
-        shape, cells, _ = border_hook(shape, cell_at(shape, pick))
+        gamma, cells, _ = border_hook(shape, cell_at(shape, pick))
         cycle = [available.pop(0)]
         for _ in range(len(cells) - 1):
             pick = choices[pos]
@@ -183,29 +188,24 @@ def f_lambda(
             if not 1 <= pick <= len(available):
                 raise ValueError("cycle choice out of bounds")
             cycle.append(available.pop(pick - 1))
-        hooks.append(cells)
+        shapes.append(gamma)
         cycles.append(tuple(cycle))
-    labels: dict[Cell, int] = {}
-    top = len(hooks)
-    for idx, cells in enumerate(hooks):
-        for c in cells:
-            labels[c] = top - idx
     sigma = Permutation.from_cycles(list(reversed(cycles)))
-    return Filling.from_cells(labels), sigma
+    return filling_of(tuple(reversed(shapes))), sigma
 
 
 def f_lambda_inv(filling: Filling, sigma: Permutation) -> ChoiceSequence:
     """Encode a survivor back into its choice sequence."""
     if filling.content() != cyc_comp(sigma):
         raise ValueError("content must equal the cycle composition")
+    chain = chain_of(filling)
+    if chain is None:
+        raise ValueError("label prefixes are not partition diagrams")
     available = sorted(sigma.ground)
     cycles = list(sigma.canonical_cycles())
-    shape = filling.shape
     out: list[int] = []
-    for label in range(filling.max_label(), 0, -1):
-        cells = filling.cells_of(label)
-        out.append(border_number_of_hook(shape, cells))
-        shape = shape_of_cells(diagram(shape) - cells)
+    for inner, outer in reversed(list(zip(chain, chain[1:]))):
+        out.append(border_number_of_hook(outer, diagram(outer) - diagram(inner)))
         cycle = cycles.pop()
         if cycle[0] != available[0]:
             raise ValueError("cycle does not start at the least unused element")
@@ -283,66 +283,26 @@ def rht_involution(triple: RhtTriple, trace: list | None = None) -> RhtTriple | 
     """
     if triple.s == triple.t:
         return None
-    s_cur, t_cur = triple.s, triple.t
-    cycles = list(triple.sigma.canonical_cycles())
-    removed: list[tuple[frozenset[Cell], frozenset[Cell], tuple[int, ...]]] = []
-    while s_cur != t_cur:
-        label = s_cur.max_label()
-        eta, rho = s_cur.cells_of(label), t_cur.cells_of(label)
-        removed.append((eta, rho, cycles.pop()))
-        s_cur, t_cur = s_cur.without_label(label), t_cur.without_label(label)
-        _trace_step(
-            trace,
-            "strip",
-            {"label": label},
-            {"S": s_cur.to_json(), "T": t_cur.to_json()},
-        )
-    survivor = s_cur
-    gamma = survivor.shape
-    eta, rho, last_cycle = removed.pop()
-    if eta == rho:
-        raise AssertionError("pending hooks cannot agree at the first survivor")
-    lam_bar = shape_of_cells(diagram(gamma) | eta)
-    mu_bar = shape_of_cells(diagram(gamma) | rho)
-    if lam_bar == mu_bar:
-        raise AssertionError("pending shapes cannot agree at the first survivor")
-    label = survivor.max_label() + 1
-    t_prime = survivor.with_cells(rho, label)
-    sigma_prime = Permutation.from_cycles(cycles + [last_cycle])
-    pairing = rimhook_pair(lam_bar, mu_bar)
-    gamma_new = pairing.partner_of(gamma)
-    eta_new = diagram(lam_bar) - diagram(gamma_new)
-    rho_new = diagram(mu_bar) - diagram(gamma_new)
-    _trace_step(
-        trace,
-        "local_pair",
-        {"gamma": list(gamma), "lam_bar": list(lam_bar), "mu_bar": list(mu_bar)},
-        {"gamma": list(gamma_new)},
-    )
+    s, t = chain_of(triple.s), chain_of(triple.t)
+    j, gamma_new = _strip_and_swap(s, t, rimhook_pair, trace)
+    cycles = triple.sigma.canonical_cycles()
+    t_prime = filling_of(t[: j + 2])
+    sigma_prime = Permutation.from_cycles(list(cycles[: j + 1]))
+    mu_bar = t[j + 1]
     seq = f_mu_rho_inv(t_prime, sigma_prime)
-    t_next, sigma_next = f_mu_rho(mu_bar, rho_new, seq, ground=sigma_prime.ground)
+    t_next, sigma_next = f_mu_rho(
+        mu_bar, diagram(mu_bar) - diagram(gamma_new), seq, ground=sigma_prime.ground
+    )
     _trace_step(
         trace,
         "f_transport",
         {"T": t_prime.to_json(), "sigma": sigma_prime.to_json()},
         {"T": t_next.to_json(), "sigma": sigma_next.to_json()},
     )
-    label = t_next.max_label()
-    s_next = t_next.without_label(label).with_cells(eta_new, label)
-    out_cycles = list(sigma_next.canonical_cycles())
-    for eta_i, rho_i, cycle_i in reversed(removed):
-        label += 1
-        s_next = s_next.with_cells(eta_i, label)
-        t_next = t_next.with_cells(rho_i, label)
-        out_cycles.append(cycle_i)
-        _trace_step(
-            trace,
-            "restore",
-            {"label": label},
-            {"S": s_next.to_json(), "T": t_next.to_json()},
-        )
-    sigma_out = Permutation.from_cycles(out_cycles)
-    return RhtTriple(s_next, t_next, sigma_out)
+    head = chain_of(t_next)
+    s_out, t_out = _restore(head[:-1] + (s[j + 1],), head, s, t, j, trace)
+    out_cycles = sigma_next.canonical_cycles() + cycles[j + 1 :]
+    return RhtTriple(s_out, t_out, Permutation.from_cycles(list(out_cycles)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +323,14 @@ class PairingReport:
 
     @property
     def passed(self) -> bool:
-        n = sum(self.lam)
-        if self.app == "kostka":
-            expected_fixed = 1 if self.lam == self.mu else 0
-            expected_total = Fraction(expected_fixed)
-        else:
-            expected_fixed = factorial(n) if self.lam == self.mu else 0
-            expected_total = Fraction(expected_fixed)
+        per_shape = 1 if self.app == "kostka" else factorial(sum(self.lam))
+        expected = per_shape if self.lam == self.mu else 0
         return (
             self.involution_ok
             and self.sign_reversal_ok
             and self.shape_preserved_ok
-            and self.fixed_points == expected_fixed
-            and self.signed_total == expected_total
+            and self.fixed_points == expected
+            and self.signed_total == expected
         )
 
 
@@ -418,13 +373,12 @@ def verify_pairing(app: str, lam: Partition, mu: Partition) -> PairingReport:
     if app == "kostka":
         objects = _all_kostka_pairs(lam, mu)
         apply_map = kostka_involution
-        shapes = lambda obj: (obj.s.shape, obj.t.shape)
     elif app == "rimhook":
         objects = _all_rht_triples(lam, mu)
         apply_map = rht_involution
-        shapes = lambda obj: (obj.s.shape, obj.t.shape)
     else:
         raise ValueError("unknown application %r" % app)
+    shapes = lambda obj: (obj.s.shape, obj.t.shape)
     fixed = 0
     signed_total = Fraction(0)
     involution_ok = True

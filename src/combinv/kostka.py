@@ -11,11 +11,14 @@ from fractions import Fraction
 
 from .core import (
     Cell,
+    Chain,
     Composition,
     Filling,
     Partition,
+    chain_of,
     diagram,
-    has_shape_and_content,
+    filling_of,
+    is_chain_tableau,
     partitions,
     require_partition,
     shape_contains,
@@ -71,10 +74,13 @@ def hook_sign(cells: frozenset[Cell]) -> int:
 
 def rht_sign(filling: Filling) -> int:
     """Product of the hook signs of the label classes of a (special) rim-hook
-    tableau."""
+    tableau, read off consecutive label-prefix shapes."""
+    chain = chain_of(filling)
+    if chain is None:
+        raise ValueError("label prefixes are not partition diagrams")
     sign = 1
-    for k in range(1, filling.max_label() + 1):
-        sign *= hook_sign(filling.cells_of(k))
+    for inner, outer in zip(chain, chain[1:]):
+        sign *= skew_sign(outer, inner)
     return sign
 
 
@@ -83,16 +89,9 @@ def rht_sign(filling: Filling) -> int:
 # ---------------------------------------------------------------------------
 
 def is_ssyt(filling: Filling, lam: Partition, beta: Composition) -> bool:
-    """Shape lam, content beta, rows weakly increasing, columns strict."""
-    if not has_shape_and_content(filling, lam, beta):
-        return False
-    for row in filling.rows:
-        if any(a > b for a, b in zip(row, row[1:])):
-            return False
-    for upper, lower in zip(filling.rows, filling.rows[1:]):
-        if any(a >= b for a, b in zip(upper, lower)):
-            return False
-    return True
+    """Shape lam, content beta, each label class a horizontal strip added to
+    a partition diagram (rows weakly increasing, columns strict)."""
+    return is_chain_tableau(filling, lam, beta, is_strip_removal)
 
 
 def strip_removals(lam: Partition, length: int) -> list[Partition]:
@@ -135,17 +134,17 @@ def enumerate_ssyt(lam: Partition, beta: Composition) -> list[Filling]:
     if sum(lam) != sum(beta):
         raise ValueError("size mismatch")
 
-    def rec(shape: Partition, content: Composition) -> list[Filling]:
-        if not content:
-            return [Filling(())] if not shape else []
-        out = []
-        for gamma in strip_removals(shape, content[-1]):
-            cells = diagram(shape) - diagram(gamma)
-            for sub in rec(gamma, content[:-1]):
-                out.append(sub.with_cells(cells, len(content)))
-        return out
+    def rec(shape: Partition, k: int) -> list[Chain]:
+        if k == 0:
+            return [((),)] if not shape else []
+        return [
+            sub + (shape,)
+            for gamma in strip_removals(shape, beta[k - 1])
+            for sub in rec(gamma, k - 1)
+        ]
 
-    return sorted(rec(tuple(lam), tuple(beta)), key=lambda f: f.rows)
+    fillings = [filling_of(chain) for chain in rec(tuple(lam), len(beta))]
+    return sorted(fillings, key=lambda f: f.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -179,36 +178,30 @@ def srht_find(mu: Partition, beta: Composition) -> tuple[Filling, int] | None:
     require_partition(mu)
     if sum(mu) != sum(beta):
         raise ValueError("size mismatch")
-    labels: dict[Cell, int] = {}
+    shapes = [tuple(mu)]
     sign = 1
-    shape = tuple(mu)
-    for k in range(len(beta), 0, -1):
-        found = None
-        for gamma, cells, hsign in srh_removals(shape):
-            if len(cells) == beta[k - 1]:
-                found = (gamma, cells, hsign)
+    for length in reversed(beta):
+        for gamma, cells, hsign in srh_removals(shapes[-1]):
+            if len(cells) == length:
+                shapes.append(gamma)
+                sign *= hsign
                 break
-        if found is None:
+        else:
             return None
-        gamma, cells, hsign = found
-        for c in cells:
-            labels[c] = k
-        sign *= hsign
-        shape = gamma
-    if shape:
+    if shapes[-1]:
         return None
-    return Filling.from_cells(labels), sign
+    return filling_of(tuple(reversed(shapes))), sign
 
 
 def is_srht(filling: Filling, mu: Partition, beta: Composition) -> bool:
-    """Each label class a special rim-hook of the right size; column 1 sorted."""
-    if not has_shape_and_content(filling, mu, beta):
-        return False
-    for k in range(1, len(beta) + 1):
-        if not is_special_rim_hook(filling.cells_of(k)):
-            return False
-    col1 = [row[0] for row in filling.rows]
-    return all(a <= b for a, b in zip(col1, col1[1:]))
+    """Each label class a special rim-hook of the right size added to a
+    partition diagram."""
+    return is_chain_tableau(
+        filling,
+        mu,
+        beta,
+        lambda outer, inner: inner in [g for g, _, _ in srh_removals(outer)],
+    )
 
 
 # ---------------------------------------------------------------------------

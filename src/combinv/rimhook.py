@@ -15,16 +15,17 @@ from math import factorial
 
 from .core import (
     Cell,
+    Chain,
     Composition,
     Filling,
     Partition,
     column_length,
     diagram,
-    has_shape_and_content,
+    filling_of,
+    is_chain_tableau,
     partial_sum_product,
     partitions,
     require_partition,
-    shape_of_cells,
     skew_sign,
 )
 from .framework import IndexedMatrix, LocalSystem, Pairing, build_B
@@ -113,39 +114,28 @@ def enumerate_rht(lam: Partition, beta: Composition) -> list[tuple[Filling, int]
     if sum(lam) != sum(beta):
         raise ValueError("size mismatch")
 
-    def rec(shape: Partition, k: int) -> list[tuple[Filling, int]]:
+    def rec(shape: Partition, k: int) -> list[tuple[Chain, int]]:
         if k == 0:
-            return [(Filling(()), 1)] if not shape else []
-        length = beta[k - 1]
-        out = []
-        for gamma, cells, sign in hook_removals(shape):
-            if len(cells) != length:
-                continue
-            for sub, subsign in rec(gamma, k - 1):
-                out.append((sub.with_cells(cells, k), subsign * sign))
-        return out
+            return [(((),), 1)] if not shape else []
+        return [
+            (sub + (shape,), subsign * sign)
+            for gamma, cells, sign in hook_removals(shape)
+            if len(cells) == beta[k - 1]
+            for sub, subsign in rec(gamma, k - 1)
+        ]
 
-    return rec(tuple(lam), len(beta))
+    return [(filling_of(chain), sign) for chain, sign in rec(tuple(lam), len(beta))]
 
 
 def is_rht(filling: Filling, lam: Partition, beta: Composition) -> bool:
     """Label classes are rim-hooks of the right sizes and every label prefix
     of the filling is a partition diagram."""
-    if not has_shape_and_content(filling, lam, beta):
-        return False
-    cells: set[Cell] = set()
-    for k in range(1, len(beta) + 1):
-        hook = filling.cells_of(k)
-        if not is_rim_hook(hook):
-            return False
-        cells |= hook
-        try:
-            prefix = shape_of_cells(frozenset(cells))
-        except ValueError:
-            return False
-        if not all(a >= b for a, b in zip(prefix, prefix[1:])):
-            return False
-    return True
+    return is_chain_tableau(
+        filling,
+        lam,
+        beta,
+        lambda outer, inner: is_rim_hook(diagram(outer) - diagram(inner)),
+    )
 
 
 def rimhook_system() -> LocalSystem:

@@ -13,6 +13,45 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+# stdout of `combinv involute --trace` on the kostka first golden map and the
+# rim-hook worked example of test_involutions.py
+KOSTKA_TRACE_GOLDEN = (
+    '{"fixed": false, "S": {"shape": [3, 3, 2], "rows": [[1, 1, 2], [2, 2, 3], '
+    '[3, 3]]}, "T": {"shape": [2, 2, 2, 2], "rows": [[1, 1], [2, 2], [2, 3], '
+    '[3, 3]]}, "trace": [{"action": "strip", "before": {"label": 4}, "after": '
+    '{"S": {"shape": [3, 2], "rows": [[1, 1, 3], [2, 2]]}, "T": {"shape": [2, '
+    '2, 1], "rows": [[1, 1], [2, 2], [3]]}}}, {"action": "strip", "before": '
+    '{"label": 3}, "after": {"S": {"shape": [2, 2], "rows": [[1, 1], [2, 2]]}, '
+    '"T": {"shape": [2, 2], "rows": [[1, 1], [2, 2]]}}}, {"action": '
+    '"local_pair", "before": {"gamma": [2, 2], "lam_bar": [3, 2], "mu_bar": '
+    '[2, 2, 1]}, "after": {"gamma": [2]}}, {"action": "restore", "before": '
+    '{"label": 3}, "after": {"S": {"shape": [3, 3, 2], "rows": [[1, 1, 2], [2, '
+    '2, 3], [3, 3]]}, "T": {"shape": [2, 2, 2, 2], "rows": [[1, 1], [2, 2], '
+    '[2, 3], [3, 3]]}}}]}'
+)
+RIMHOOK_TRACE_GOLDEN = (
+    '{"fixed": false, "S": {"shape": [4, 3, 2, 1], "rows": [[1, 2, 4, 4], [2, '
+    '2, 4], [3, 3], [3]]}, "T": {"shape": [4, 3, 3], "rows": [[1, 2, 3, 3], '
+    '[2, 2, 3], [4, 4, 4]]}, "sigma": {"ground": [1, 2, 3, 4, 5, 6, 7, 8, 9, '
+    '10], "cycles": [[6], [4, 5, 8], [2, 10, 9], [1, 3, 7]]}, "trace": '
+    '[{"action": "strip", "before": {"label": 3}, "after": {"S": {"shape": [2, '
+    '2, 2, 1], "rows": [[1, 1], [1, 2], [2, 2], [2]]}, "T": {"shape": [4, 3], '
+    '"rows": [[1, 1, 2, 2], [1, 2, 2]]}}}, {"action": "strip", "before": '
+    '{"label": 2}, "after": {"S": {"shape": [2, 1], "rows": [[1, 1], [1]]}, '
+    '"T": {"shape": [2, 1], "rows": [[1, 1], [1]]}}}, {"action": "local_pair", '
+    '"before": {"gamma": [2, 1], "lam_bar": [2, 2, 2, 1], "mu_bar": [4, 3]}, '
+    '"after": {"gamma": [2, 2]}}, {"action": "f_transport", "before": {"T": '
+    '{"shape": [4, 3], "rows": [[1, 1, 2, 2], [1, 2, 2]]}, "sigma": {"ground": '
+    '[2, 4, 5, 6, 8, 9, 10], "cycles": [[5, 8, 6], [2, 10, 9, 4]]}}, "after": '
+    '{"T": {"shape": [4, 3], "rows": [[1, 2, 3, 3], [2, 2, 3]]}, "sigma": '
+    '{"ground": [2, 4, 5, 6, 8, 9, 10], "cycles": [[6], [4, 5, 8], [2, 10, '
+    '9]]}}}, {"action": "restore", "before": {"label": 4}, "after": {"S": '
+    '{"shape": [4, 3, 2, 1], "rows": [[1, 2, 4, 4], [2, 2, 4], [3, 3], [3]]}, '
+    '"T": {"shape": [4, 3, 3], "rows": [[1, 2, 3, 3], [2, 2, 3], [4, 4, '
+    '4]]}}}]}'
+)
+
+
 class TestMatrixCommand:
     def test_kostka_a4_ascii(self):
         code, text = run_cli("matrix", "--app", "kostka", "--n", "4", "--side", "A")
@@ -169,11 +208,7 @@ class TestInvoluteCommand:
         code, text = run_cli(
             "involute", "--app", "kostka", "--input", str(path), "--trace"
         )
-        assert code == 0
-        data = json.loads(text)
-        assert data["fixed"] is False
-        assert data["S"]["rows"] == [[1, 1, 2], [2, 2, 3], [3, 3]]
-        assert data["trace"][0]["action"] == "strip"
+        assert (code, text) == (0, KOSTKA_TRACE_GOLDEN + "\n")
 
     def test_fixed_point(self, tmp_path):
         survivor = Filling(((1, 1), (2,))).to_json()
@@ -199,6 +234,24 @@ class TestInvoluteCommand:
         code, _ = run_cli("involute", "--app", "kostka", "--input", str(path))
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "s, t, message",
+        [
+            ([[1], [2, 3]], [[1], [2], [3]], "first component is not semistandard"),
+            (
+                [[1, 1, 2, 2, 2]],
+                [[1, 1], [2, 2, 2]],
+                "second component is not a special rim-hook tableau",
+            ),
+        ],
+    )
+    def test_non_partition_component(self, tmp_path, capsys, s, t, message):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"S": {"rows": s}, "T": {"rows": t}}))
+        code, text = run_cli("involute", "--app", "kostka", "--input", str(path))
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err == "input error: %s\n" % message
+
     def test_rimhook_round_trip(self, tmp_path):
         from combinv.involutions import RhtTriple
         from combinv.rimhook import Permutation
@@ -214,6 +267,10 @@ class TestInvoluteCommand:
         assert code == 0
         data = json.loads(text)
         assert data["sigma"]["cycles"] == [[6], [4, 5, 8], [2, 10, 9], [1, 3, 7]]
+        code, text = run_cli(
+            "involute", "--app", "rimhook", "--input", str(path), "--trace"
+        )
+        assert (code, text) == (0, RIMHOOK_TRACE_GOLDEN + "\n")
 
 
 class TestAbacusCommand:
@@ -246,6 +303,17 @@ class TestUsage:
     def test_negative_n(self):
         code, _ = run_cli("matrix", "--app", "kostka", "--n", "-2")
         assert code == 2
+
+    def test_internal_error_exit_code(self, monkeypatch, capsys):
+        def broken(lam, mu):
+            raise AssertionError("local pairing failed structural check")
+
+        monkeypatch.setattr(cli.kostka, "kostka_pair", broken)
+        code, text = run_cli("pair", "--app", "kostka", "--lambda", "2,1", "--mu", "3")
+        assert (code, text) == (4, "")
+        assert capsys.readouterr().err == (
+            "internal error: local pairing failed structural check\n"
+        )
 
     def test_pair_size_mismatch(self):
         code, _ = run_cli("pair", "--app", "kostka", "--lambda", "3", "--mu", "2,2")

@@ -1,5 +1,6 @@
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -8,9 +9,12 @@ from hypothesis import given, strategies as st
 from combinv.core import (
     Filling,
     centralizer_order,
+    chain_of,
     column_length,
     compositions,
     diagram,
+    filling_of,
+    is_partition,
     last_part_sum,
     multiplicity,
     multiset_diff,
@@ -19,10 +23,20 @@ from combinv.core import (
     multiset_union,
     partial_sum_product,
     partitions,
-    shape_of_cells,
     sort_comp,
     truncate,
 )
+from combinv.kostka import (
+    enumerate_ssyt,
+    hook_sign,
+    is_horizontal_strip,
+    is_rim_hook,
+    is_special_rim_hook,
+    is_srht,
+    is_ssyt,
+    rht_sign,
+)
+from combinv.rimhook import enumerate_rht, is_rht
 
 
 def brute_compositions(n):
@@ -222,21 +236,10 @@ class TestMultisets:
 
 
 class TestDiagrams:
-    def test_diagram_round_trip(self):
-        for n in range(8):
-            for lam in partitions(n):
-                assert shape_of_cells(diagram(lam)) == lam
-
     def test_column_length(self):
         assert column_length((5, 5, 4, 4, 3), 2) == 5
         assert column_length((5, 5, 4, 4, 3), 5) == 2
         assert column_length((5, 5, 4, 4, 3), 6) == 0
-
-    def test_non_left_justified_rejected(self):
-        with pytest.raises(ValueError):
-            shape_of_cells(frozenset({(1, 2)}))
-        with pytest.raises(ValueError):
-            shape_of_cells(frozenset({(2, 1)}))
 
 
 class TestFilling:
@@ -247,12 +250,84 @@ class TestFilling:
         assert f.cells_of(2) == frozenset({(1, 3), (2, 1)})
         assert f.max_label() == 3
 
-    def test_without_and_with_cells(self):
-        f = Filling(((1, 1, 2), (2, 3)))
-        g = f.without_label(3)
-        assert g.shape == (3, 1)
-        assert g.with_cells(frozenset({(2, 2)}), 3) == f
-
     def test_json_round_trip(self):
         f = Filling(((1, 1), (2,)))
         assert Filling.from_json(f.to_json()) == f
+
+
+def partition_of_cells(cells):
+    """Oracle: the partition whose diagram is exactly `cells`, else None."""
+    rows = Counter(i for i, _ in cells)
+    shape = tuple(rows[i] for i in range(1, len(rows) + 1))
+    return shape if is_partition(shape) and diagram(shape) == cells else None
+
+
+def cell_set_tableau(filling, is_layer):
+    """Oracle: every label class passes `is_layer` and every label prefix is
+    a partition diagram, checked on cell sets only."""
+    cells = frozenset()
+    for k in range(1, filling.max_label() + 1):
+        layer = filling.cells_of(k)
+        cells |= layer
+        if not is_layer(layer) or partition_of_cells(cells) is None:
+            return False
+    return True
+
+
+def all_fillings(n):
+    """Every filling of every partition of n with labels exactly 1..max."""
+    for lam in partitions(n):
+        for labels in product(range(1, n + 1), repeat=n):
+            if set(labels) != set(range(1, max(labels, default=0) + 1)):
+                continue
+            rows, pos = [], 0
+            for part in lam:
+                rows.append(labels[pos : pos + part])
+                pos += part
+            yield lam, Filling(tuple(rows))
+
+
+class TestChains:
+    def test_examples(self):
+        f = Filling(((1, 1, 2), (2, 3)))
+        chain = chain_of(f)
+        assert chain == ((), (2,), (3, 1), (3, 2))
+        assert filling_of(chain[:-1]) == Filling(((1, 1, 2), (2,)))
+        assert filling_of(((),)) == Filling(())
+        assert chain_of(Filling(())) == ((),)
+
+    def test_non_partition_prefixes(self):
+        assert chain_of(Filling(((1,), (2, 3)))) is None
+        assert chain_of(Filling(((2, 1),))) is None
+        assert chain_of(Filling(((2,), (1,)))) is None
+        assert chain_of(Filling(((1, 1), (2, 2, 2)))) is None
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_round_trip(self, n):
+        for lam in partitions(n):
+            for beta in compositions(n):
+                fillings = enumerate_ssyt(lam, beta)
+                fillings += [f for f, _ in enumerate_rht(lam, beta)]
+                for f in fillings:
+                    chain = chain_of(f)
+                    assert len(chain) == len(beta) + 1 and chain[-1] == lam
+                    assert filling_of(chain) == f
+
+    def test_validators_match_cell_set_oracle(self):
+        count = 0
+        for n in range(6):
+            for lam, f in all_fillings(n):
+                count += 1
+                beta = f.content()
+                ssyt = cell_set_tableau(f, is_horizontal_strip)
+                srht = cell_set_tableau(f, is_special_rim_hook)
+                rht = cell_set_tableau(f, is_rim_hook)
+                assert is_ssyt(f, lam, beta) == ssyt, f
+                assert is_srht(f, lam, beta) == srht, f
+                assert is_rht(f, lam, beta) == rht, f
+                if rht:
+                    expected = 1
+                    for k in range(1, len(beta) + 1):
+                        expected *= hook_sign(f.cells_of(k))
+                    assert rht_sign(f) == expected, f
+        assert count == 4209

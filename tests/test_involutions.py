@@ -98,6 +98,21 @@ class TestKostkaInvolution:
         with pytest.raises(ValueError):
             KostkaPair(Filling(((1, 2),)), Filling(((1, 1),)))
 
+    @pytest.mark.parametrize(
+        "s, t, message",
+        [
+            (((1,), (2, 3)), ((1,), (2,), (3,)), "first component is not semistandard"),
+            (
+                ((1, 1, 2, 2, 2),),
+                ((1, 1), (2, 2, 2)),
+                "second component is not a special rim-hook tableau",
+            ),
+        ],
+    )
+    def test_non_partition_component_rejected(self, s, t, message):
+        with pytest.raises(ValueError, match=message):
+            KostkaPair(Filling(s), Filling(t))
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_exhaustive_audit(self, n):
         for lam in partitions(n):

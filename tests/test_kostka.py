@@ -4,9 +4,9 @@ from combinv.core import (
     Filling,
     compositions,
     diagram,
+    is_partition,
     partitions,
     shape_contains,
-    shape_of_cells,
 )
 from combinv.framework import build_A, build_B, check_sorting_condition
 from combinv.kostka import (
@@ -36,7 +36,8 @@ def brute_force_ssyt(lam, beta):
 
     def place(idx, grid):
         if idx == len(cells):
-            results.append(Filling.from_cells(dict(grid)))
+            rows = [[grid[(i, j)] for j in range(1, row + 1)] for i, row in enumerate(lam, 1)]
+            results.append(Filling(rows))
             return
         i, j = cells[idx]
         tried = set()
@@ -130,8 +131,9 @@ class TestSsyt:
                         layer = filling.cells_of(k)
                         assert is_horizontal_strip(layer)
                         cells |= layer
-                        prefix = shape_of_cells(frozenset(cells))
-                        assert all(a >= b for a, b in zip(prefix, prefix[1:]))
+                        rows = [i for i, _ in cells]
+                        prefix = tuple(rows.count(i) for i in range(1, max(rows) + 1))
+                        assert is_partition(prefix) and diagram(prefix) == cells
 
 
 class TestSrht:
@@ -174,7 +176,7 @@ class TestSrht:
                 for gamma, cells, sign in removals:
                     assert is_special_rim_hook(cells)
                     assert hook_sign(cells) == sign
-                    assert shape_of_cells(diagram(mu) - cells) == gamma
+                    assert is_partition(gamma) and diagram(mu) - cells == diagram(gamma)
 
 
 class TestSystemSets:
