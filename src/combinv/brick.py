@@ -69,9 +69,9 @@ def enumerate_obt(lam: Partition, beta: Composition) -> list[Filling]:
 def is_obt(filling: Filling, lam: Partition, beta: Composition) -> bool:
     if not has_shape_and_content(filling, lam, beta):
         return False
-    for k in range(1, len(beta) + 1):
-        if len({i for i, _ in filling.cells_of(k)}) != 1:
-            return False
+    row_labels = [v for row in filling.rows for v in set(row)]
+    if len(row_labels) != len(set(row_labels)):  # a label in two rows
+        return False
     return all(
         all(a <= b for a, b in zip(row, row[1:])) for row in filling.rows
     )

@@ -189,15 +189,16 @@ def _cmd_involute(args, out) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(str(exc)) from exc
     trace: list | None = [] if args.trace else None
+    kind, apply_map = {
+        "kostka": (involutions.KostkaPair, involutions.kostka_involution),
+        "rimhook": (involutions.RhtTriple, involutions.rht_involution),
+    }[args.app]
+    try:  # a wrongly typed field fails here with a TypeError: bad input too
+        obj = kind.from_json(data)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(str(exc)) from exc
     try:
-        if args.app == "kostka":
-            obj = involutions.KostkaPair.from_json(data)
-            image = involutions.kostka_involution(obj, trace)
-        elif args.app == "rimhook":
-            obj = involutions.RhtTriple.from_json(data)
-            image = involutions.rht_involution(obj, trace)
-        else:
-            raise UsageError("involute supports kostka and rimhook")
+        image = apply_map(obj, trace)
     except (ValueError, KeyError) as exc:
         raise InputError(str(exc)) from exc
     result = {"fixed": image is None}

@@ -1,12 +1,13 @@
-"""Partitions, compositions, diagrams, fillings, shape chains, and shared
-scalar invariants.
+"""Partitions, compositions, removal steps on shapes, fillings, shape chains,
+and shared scalar invariants.
 
 Shapes are plain tuples of positive integers; all arithmetic is exact
 (Python ints and fractions.Fraction).  A tableau built one incremental
 structure at a time is its chain of label-prefix shapes () = g0, g1, ..., g_m:
 the bijection layer works on these chains and converts to a Filling only at
-its public surface.  Every function here is pure, so the whole module is safe
-for concurrent use.
+its public surface.  A strip or hook is the pair of shapes gamma inside lam
+around it, never a cell set; `border_hook` is the one hook computation.
+Every function here is pure, so the whole module is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -167,15 +168,8 @@ def multiset_contains(lam: Partition, mu: Partition) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Diagrams
+# Diagrams and removal steps on shapes
 # ---------------------------------------------------------------------------
-
-def diagram(shape: tuple[int, ...]) -> frozenset[Cell]:
-    """Cells (row, col), 1-based, of a left-justified diagram."""
-    return frozenset(
-        (i, j) for i, row in enumerate(shape, start=1) for j in range(1, row + 1)
-    )
-
 
 def shape_contains(outer: Partition, inner: Partition) -> bool:
     """dg(inner) subset of dg(outer), comparing row lengths."""
@@ -196,6 +190,45 @@ def skew_sign(outer: tuple[int, ...], inner: tuple[int, ...]) -> int:
     if rows == 0:
         raise ValueError("empty skew shape has no sign")
     return -1 if (rows - 1) % 2 else 1
+
+
+def is_strip_removal(lam: Partition, gamma: Partition) -> bool:
+    """lam/gamma is a (possibly empty-checked) horizontal strip."""
+    if not shape_contains(lam, gamma):
+        return False
+    padded = gamma + (0,) * (len(lam) - len(gamma))
+    return all(padded[i] >= lam[i + 1] for i in range(len(lam) - 1))
+
+
+def is_hook_removal(outer: Partition, inner: Partition) -> bool:
+    """outer/inner is a rim hook: it is nonempty, and each of its rows but
+    the last shares exactly one column with the row below (so its rows are
+    consecutive, as a row above one that outer and inner share meets none)."""
+    if not shape_contains(outer, inner):
+        return False
+    padded = inner + (0,) * (len(outer) - len(inner))
+    rows = [r for r, (a, b) in enumerate(zip(outer, padded)) if a != b]
+    return bool(rows) and all(outer[r + 1] - padded[r] == 1 for r in rows[:-1])
+
+
+def border_hook(shape: Partition, cell: Cell) -> tuple[Partition, int, int]:
+    """The removable border rim-hook attached to a cell of dg(shape), as the
+    shape gamma it leaves, its size |shape| - |gamma| and its sign.
+
+    The hook runs along the border from the bottom of the cell's column to
+    the end of the cell's row; its size is the cell's hook length and the
+    map cell <-> removable border hook is a bijection.
+    """
+    i, j = cell
+    if i < 1 or i > len(shape) or j < 1 or j > shape[i - 1]:
+        raise ValueError("cell not in diagram")
+    bottom = column_length(shape, j)
+    new = list(shape)
+    for r in range(i, bottom):
+        new[r - 1] = shape[r] - 1
+    new[bottom - 1] = j - 1
+    size = shape[i - 1] - j + bottom - i + 1
+    return tuple(p for p in new if p), size, -1 if (bottom - i) % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +266,6 @@ class Filling:
 
     def max_label(self) -> int:
         return max((v for row in self.rows for v in row), default=0)
-
-    def cells_of(self, label: int) -> frozenset[Cell]:
-        return frozenset(
-            (i, j)
-            for i, row in enumerate(self.rows, start=1)
-            for j, v in enumerate(row, start=1)
-            if v == label
-        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Filling) and self.rows == other.rows

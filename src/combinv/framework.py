@@ -184,8 +184,8 @@ def _recursion(
 
         M_m(s, beta) = sum over g in succ(s, L) of weight(s, g) * M_{m-L}(g, beta*)
 
-    where (beta*, L) = truncate(beta).  The top level is returned as raw rows
-    so that a caller can transpose it before wrapping it once.
+    where (beta*, L) = truncate(beta).  Every level is kept as raw rows (an
+    empty sum stays the int 0), so that the caller wraps the top level once.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -193,19 +193,22 @@ def _recursion(
     if len(rows) != 1:
         raise ValueError("R(0) must contain exactly one shape")
     cols, entries = [()], [[Fraction(1)]]
-    levels: list[IndexedMatrix] = []
+    levels = []  # (entries, row index, column index) of M_0 .. M_{m-1}
     for m in range(1, n + 1):
-        levels.append(IndexedMatrix(rows, cols, entries))
+        row_at = {shape: i for i, shape in enumerate(rows)}
+        col_at = {beta: j for j, beta in enumerate(cols)}
+        levels.append((entries, row_at, col_at))
         rows, cols = system.shapes(m), compositions(m)
         entries = []
         for shape in rows:
             row = []
             for beta in cols:
                 beta_star, last = truncate(beta)
-                prev = levels[m - last]
-                total = Fraction(0)
+                prev, prev_row, prev_col = levels[m - last]
+                j = prev_col[beta_star]
+                total = 0
                 for gamma in succ(shape, last):
-                    total += weight(shape, gamma) * prev.entry(gamma, beta_star)
+                    total += weight(shape, gamma) * prev[prev_row[gamma]][j]
                 row.append(total)
             entries.append(row)
     return rows, cols, entries

@@ -17,14 +17,12 @@ from itertools import permutations as _itertools_permutations
 from math import factorial
 
 from .core import (
-    Cell,
     Chain,
     Composition,
     Filling,
     Partition,
     chain_of,
     compositions,
-    diagram,
     filling_of,
     row_filling,
 )
@@ -180,9 +178,9 @@ def f_lambda(
         pos += 1
         if not 1 <= pick <= sum(shape):
             raise ValueError("hook choice out of bounds")
-        gamma, cells, _ = border_hook(shape, cell_at(shape, pick))
+        gamma, size, _ = border_hook(shape, cell_at(shape, pick))
         cycle = [available.pop(0)]
-        for _ in range(len(cells) - 1):
+        for _ in range(size - 1):
             pick = choices[pos]
             pos += 1
             if not 1 <= pick <= len(available):
@@ -205,7 +203,7 @@ def f_lambda_inv(filling: Filling, sigma: Permutation) -> ChoiceSequence:
     cycles = list(sigma.canonical_cycles())
     out: list[int] = []
     for inner, outer in reversed(list(zip(chain, chain[1:]))):
-        out.append(border_number_of_hook(outer, diagram(outer) - diagram(inner)))
+        out.append(border_number_of_hook(outer, inner))
         cycle = cycles.pop()
         if cycle[0] != available[0]:
             raise ValueError("cycle does not start at the least unused element")
@@ -219,12 +217,13 @@ def f_lambda_inv(filling: Filling, sigma: Permutation) -> ChoiceSequence:
 
 def f_mu_rho(
     mu: Partition,
-    rho: frozenset[Cell],
+    gamma: Partition,
     choices: ChoiceSequence,
     ground: tuple[int, ...] | None = None,
 ) -> tuple[Filling, Permutation]:
-    """Survivor with the outermost hook pinned to the cells rho."""
-    number = border_number_of_hook(tuple(mu), rho)
+    """Survivor with the outermost hook pinned to the removable border
+    rim-hook rho = dg(mu) - dg(gamma), given by the shape gamma it leaves."""
+    number = border_number_of_hook(tuple(mu), tuple(gamma))
     return f_lambda(mu, (number,) + tuple(choices), ground)
 
 
@@ -290,9 +289,7 @@ def rht_involution(triple: RhtTriple, trace: list | None = None) -> RhtTriple | 
     sigma_prime = Permutation.from_cycles(list(cycles[: j + 1]))
     mu_bar = t[j + 1]
     seq = f_mu_rho_inv(t_prime, sigma_prime)
-    t_next, sigma_next = f_mu_rho(
-        mu_bar, diagram(mu_bar) - diagram(gamma_new), seq, ground=sigma_prime.ground
-    )
+    t_next, sigma_next = f_mu_rho(mu_bar, gamma_new, seq, ground=sigma_prime.ground)
     _trace_step(
         trace,
         "f_transport",
@@ -385,16 +382,17 @@ def verify_pairing(app: str, lam: Partition, mu: Partition) -> PairingReport:
     sign_ok = True
     shape_ok = True
     for obj in objects:
-        signed_total += obj.sign
+        sign = obj.sign
+        signed_total += sign
         image = apply_map(obj)
         if image is None:
             fixed += 1
-            if obj.sign != 1:
+            if sign != 1:
                 sign_ok = False
             continue
         if shapes(image) != shapes(obj):
             shape_ok = False
-        if image.sign != -obj.sign:
+        if image.sign != -sign:
             sign_ok = False
         back = apply_map(image)
         if back != obj:

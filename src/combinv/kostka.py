@@ -2,7 +2,8 @@
 
 The A-family counts semistandard Young tableaux (Kostka numbers on a
 rectangular P(n) x C(n) index set); the B-family counts signed special
-rim-hook tableaux, of which at most one exists per (shape, content).
+rim-hook tableaux, of which at most one exists per (shape, content).  Each
+removal is the shape it leaves; a special rim hook is a column-1 border hook.
 """
 
 from __future__ import annotations
@@ -10,67 +11,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (
-    Cell,
     Chain,
     Composition,
     Filling,
     Partition,
+    border_hook,
     chain_of,
-    diagram,
     filling_of,
     is_chain_tableau,
+    is_strip_removal,
     partitions,
     require_partition,
-    shape_contains,
     skew_sign,
 )
 from .framework import LocalSystem, Pairing
 
 
 # ---------------------------------------------------------------------------
-# Cell-set predicates
+# Signs of (special) rim-hook tableaux
 # ---------------------------------------------------------------------------
-
-def is_horizontal_strip(cells: frozenset[Cell]) -> bool:
-    """All cells in distinct columns."""
-    cols = [j for _, j in cells]
-    return len(cols) == len(set(cols))
-
-
-def is_rim_hook(cells: frozenset[Cell]) -> bool:
-    """Traversable by unit right/up steps from some starting cell.
-
-    Each step changes the antidiagonal col-row by exactly +1, so the cells
-    must occupy consecutive distinct antidiagonals with adjacent neighbors.
-    """
-    if not cells:
-        return False
-    by_diag = {j - i: (i, j) for i, j in cells}
-    if len(by_diag) != len(cells):
-        return False
-    diags = sorted(by_diag)
-    if diags[-1] - diags[0] != len(cells) - 1:
-        return False
-    for d1, d2 in zip(diags, diags[1:]):
-        (i1, j1), (i2, j2) = by_diag[d1], by_diag[d2]
-        if (i2, j2) not in ((i1, j1 + 1), (i1 - 1, j1)):
-            return False
-    return True
-
-
-def is_special_rim_hook(cells: frozenset[Cell]) -> bool:
-    """A rim hook whose starting (lowest) cell lies in column 1."""
-    if not is_rim_hook(cells):
-        return False
-    start = min(cells, key=lambda c: c[1] - c[0])
-    return start[1] == 1
-
-
-def hook_sign(cells: frozenset[Cell]) -> int:
-    """(-1)^(rows occupied - 1)."""
-    rows = {i for i, _ in cells}
-    return -1 if (len(rows) - 1) % 2 else 1
-
 
 def rht_sign(filling: Filling) -> int:
     """Product of the hook signs of the label classes of a (special) rim-hook
@@ -115,14 +74,6 @@ def strip_removals(lam: Partition, length: int) -> list[Partition]:
     return out
 
 
-def is_strip_removal(lam: Partition, gamma: Partition) -> bool:
-    """lam/gamma is a (possibly empty-checked) horizontal strip."""
-    if not shape_contains(lam, gamma):
-        return False
-    padded = gamma + (0,) * (len(lam) - len(gamma))
-    return all(padded[i] >= lam[i + 1] for i in range(len(lam) - 1))
-
-
 def enumerate_ssyt(lam: Partition, beta: Composition) -> list[Filling]:
     """All semistandard tableaux of the given shape and content.
 
@@ -151,22 +102,12 @@ def enumerate_ssyt(lam: Partition, beta: Composition) -> list[Filling]:
 # Special rim-hook removals and tableaux
 # ---------------------------------------------------------------------------
 
-def srh_removals(mu: Partition) -> list[tuple[Partition, frozenset[Cell], int]]:
-    """The removable special rim-hooks of dg(mu), one per row index.
-
-    The hook ending in row i leaves (mu_1..mu_{i-1}, mu_{i+1}-1, ..., mu_s-1)
-    and occupies rows i..s, so its sign is (-1)^(s-i).  Hook sizes strictly
-    decrease with i, so sizes identify hooks uniquely.
+def srh_removals(mu: Partition) -> list[tuple[Partition, int, int]]:
+    """The removable special rim-hooks of dg(mu) as (gamma, size, sign): the
+    border hooks of the column-1 cells (i, 1), one per row index.  Hook sizes
+    strictly decrease with i, so sizes identify hooks uniquely.
     """
-    s = len(mu)
-    out = []
-    for i in range(1, s + 1):
-        tail = tuple(mu[j] - 1 for j in range(i, s) if mu[j] > 1)
-        gamma = mu[: i - 1] + tail
-        cells = diagram(mu) - diagram(gamma)
-        sign = -1 if (s - i) % 2 else 1
-        out.append((gamma, cells, sign))
-    return out
+    return [border_hook(mu, (i, 1)) for i in range(1, len(mu) + 1)]
 
 
 def srht_find(mu: Partition, beta: Composition) -> tuple[Filling, int] | None:
@@ -181,8 +122,8 @@ def srht_find(mu: Partition, beta: Composition) -> tuple[Filling, int] | None:
     shapes = [tuple(mu)]
     sign = 1
     for length in reversed(beta):
-        for gamma, cells, hsign in srh_removals(shapes[-1]):
-            if len(cells) == length:
+        for gamma, size, hsign in srh_removals(shapes[-1]):
+            if size == length:
                 shapes.append(gamma)
                 sign *= hsign
                 break
@@ -212,7 +153,7 @@ def kostka_system() -> LocalSystem:
     """Horizontal-strip removals against signed special rim-hook removals."""
 
     def succ_b(mu, length):
-        return [g for g, cells, _ in srh_removals(mu) if len(cells) == length]
+        return [g for g, size, _ in srh_removals(mu) if size == length]
 
     return LocalSystem(
         name="kostka",
@@ -238,17 +179,16 @@ def kostka_pair(lam: Partition, mu: Partition) -> Pairing:
         return Pairing("diagonal", ((lam[:-1], 1),))
     removals = srh_removals(mu)
     first = None
-    for idx, (gamma, cells, sign) in enumerate(removals):
+    for idx, (gamma, _, _) in enumerate(removals):
         if is_strip_removal(lam, gamma):
             first = idx
             break
     if first is None:
         return Pairing("empty", ())
     i = first + 1  # 1-based row index of the hook
-    s = len(mu)
-    corner = (i, mu[i - 1])  # rightmost cell of row i
-    if corner in diagram(lam):
-        if i == s:
+    # is the rightmost cell (i, mu_i) of row i of mu also a cell of lam?
+    if i <= len(lam) and lam[i - 1] >= mu[i - 1]:
+        if i == len(mu):
             raise AssertionError("unreachable: matched removal in the last row")
         partner = i + 1
     else:

@@ -4,7 +4,8 @@ The A-family here is the signed rim-hook tableau count (the irreducible
 symmetric-group character values on a rectangular index set); the B-family
 rescales each row by the reciprocal of the partial-sum product of its key.
 Rim-hook removal/addition is mirrored on abaci as bead jumps, which is how
-the off-diagonal cancellation is computed.
+the off-diagonal cancellation is computed.  A removable rim hook is the
+border hook of a cell, numbered in reading order, given by the shape it leaves.
 """
 
 from __future__ import annotations
@@ -19,17 +20,16 @@ from .core import (
     Composition,
     Filling,
     Partition,
-    column_length,
-    diagram,
+    border_hook,
     filling_of,
     is_chain_tableau,
+    is_hook_removal,
     partial_sum_product,
     partitions,
     require_partition,
     skew_sign,
 )
 from .framework import IndexedMatrix, LocalSystem, Pairing, build_B
-from .kostka import is_rim_hook
 
 
 # ---------------------------------------------------------------------------
@@ -47,57 +47,31 @@ def cell_at(shape: tuple[int, ...], number: int) -> Cell:
     raise AssertionError
 
 
-def reading_number(shape: tuple[int, ...], cell: Cell) -> int:
-    i, j = cell
-    return sum(shape[: i - 1]) + j
+def hook_removals(lam: Partition) -> list[tuple[Partition, int, int]]:
+    """All removable border rim-hooks as (gamma, size, sign), in reading
+    order of their cells."""
+    return [
+        border_hook(lam, (i, j))
+        for i, row in enumerate(lam, start=1)
+        for j in range(1, row + 1)
+    ]
 
 
-def border_hook(
-    shape: Partition, cell: Cell
-) -> tuple[Partition, frozenset[Cell], int]:
-    """The removable border rim-hook attached to a cell of the diagram.
+def border_number_of_hook(shape: Partition, gamma: Partition) -> int:
+    """Inverse of `border_hook` on shapes: the reading number of the cell
+    whose border hook leaves gamma.
 
-    The hook runs along the border from the bottom of the cell's column to
-    the end of the cell's row; its size is the cell's hook length and the
-    map cell <-> removable border hook is a bijection.
+    That cell sits in the first row where shape and gamma differ, one column
+    right of gamma's part in the last such row.
     """
-    i, j = cell
-    if i < 1 or i > len(shape) or j < 1 or j > shape[i - 1]:
-        raise ValueError("cell not in diagram")
-    bottom = column_length(shape, j)
-    new = list(shape)
-    for r in range(i, bottom):
-        new[r - 1] = shape[r] - 1
-    new[bottom - 1] = j - 1
-    gamma = tuple(p for p in new if p)
-    cells = diagram(shape) - diagram(gamma)
-    sign = -1 if (bottom - i) % 2 else 1
-    return gamma, cells, sign
-
-
-def border_hook_by_number(
-    shape: Partition, number: int
-) -> tuple[Partition, frozenset[Cell], int]:
-    return border_hook(shape, cell_at(shape, number))
-
-
-def hook_removals(lam: Partition) -> list[tuple[Partition, frozenset[Cell], int]]:
-    """All removable border rim-hooks in reading-order of their cells."""
-    return [border_hook_by_number(lam, c) for c in range(1, sum(lam) + 1)]
-
-
-def border_number_of_hook(shape: Partition, cells: frozenset[Cell]) -> int:
-    """Inverse of `border_hook`: the reading number indexing a border hook."""
-    if not cells:
+    padded = gamma + (0,) * (len(shape) - len(gamma))
+    rows = [r for r, (a, b) in enumerate(zip(shape, padded), start=1) if a != b]
+    if not rows:
         raise ValueError("empty hook")
-    hand_row = min(i for i, _ in cells)
-    foot_row = max(i for i, _ in cells)
-    foot_col = min(j for i, j in cells if i == foot_row)
-    number = reading_number(shape, (hand_row, foot_col))
-    _, expected, _ = border_hook(shape, (hand_row, foot_col))
-    if expected != cells:
-        raise ValueError("cells are not a removable border rim-hook")
-    return number
+    row, col = rows[0], padded[rows[-1] - 1] + 1
+    if border_hook(shape, (row, col))[0] != gamma:
+        raise ValueError("shape minus gamma is not a removable border rim-hook")
+    return sum(shape[: row - 1]) + col
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +93,8 @@ def enumerate_rht(lam: Partition, beta: Composition) -> list[tuple[Filling, int]
             return [(((),), 1)] if not shape else []
         return [
             (sub + (shape,), subsign * sign)
-            for gamma, cells, sign in hook_removals(shape)
-            if len(cells) == beta[k - 1]
+            for gamma, size, sign in hook_removals(shape)
+            if size == beta[k - 1]
             for sub, subsign in rec(gamma, k - 1)
         ]
 
@@ -130,19 +104,14 @@ def enumerate_rht(lam: Partition, beta: Composition) -> list[tuple[Filling, int]
 def is_rht(filling: Filling, lam: Partition, beta: Composition) -> bool:
     """Label classes are rim-hooks of the right sizes and every label prefix
     of the filling is a partition diagram."""
-    return is_chain_tableau(
-        filling,
-        lam,
-        beta,
-        lambda outer, inner: is_rim_hook(diagram(outer) - diagram(inner)),
-    )
+    return is_chain_tableau(filling, lam, beta, is_hook_removal)
 
 
 def rimhook_system() -> LocalSystem:
     """Signed rim-hook removal on both sides, B rescaled by 1/|shape|."""
 
     def succ(shape, length):
-        return [g for g, cells, _ in hook_removals(shape) if len(cells) == length]
+        return [g for g, size, _ in hook_removals(shape) if size == length]
 
     return LocalSystem(
         name="rimhook",

@@ -35,6 +35,7 @@ from combinv.brick import (
     tabloid_weight,
     w_of,
 )
+from oracles import all_fillings
 
 
 class TestObtEnumeration:
@@ -53,6 +54,16 @@ class TestObtEnumeration:
                 for beta in compositions(n):
                     for filling in enumerate_obt(lam, beta):
                         assert is_obt(filling, lam, beta)
+
+    def test_validator_matches_enumeration(self):
+        # every filling of a partition shape with n <= 5, e.g. [[1, 1], [1]]
+        # (one label in two rows) is rejected
+        assert not is_obt(Filling(((1, 1), (1,))), (2, 1), (3,))
+        for n in range(6):
+            for lam, filling in all_fillings(n):
+                beta = filling.content()
+                expected = filling in enumerate_obt(lam, beta)
+                assert is_obt(filling, lam, beta) == expected, filling
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_counts_match_matrix(self, n):

@@ -252,6 +252,44 @@ class TestInvoluteCommand:
         assert (code, text) == (3, "")
         assert capsys.readouterr().err == "input error: %s\n" % message
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"S": 5, "T": 5}, {"S": {"rows": ["ab"]}, "T": {"rows": [[1]]}}],
+    )
+    def test_wrongly_typed_kostka_input(self, tmp_path, capsys, payload):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(payload))
+        code, text = run_cli("involute", "--app", "kostka", "--input", str(path))
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"S": 5, "T": 5, "sigma": 5},
+            {"S": {"rows": ["ab"]}, "T": {"rows": [[1]]}, "sigma": {}},
+        ],
+    )
+    def test_wrongly_typed_rimhook_input(self, tmp_path, capsys, payload):
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps(payload))
+        code, text = run_cli("involute", "--app", "rimhook", "--input", str(path))
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    def test_type_error_inside_involution_propagates(self, tmp_path, monkeypatch):
+        from combinv import involutions
+
+        def broken(obj, trace=None):
+            raise TypeError("bug in the involution")
+
+        monkeypatch.setattr(involutions, "kostka_involution", broken)
+        survivor = Filling(((1, 1), (2,))).to_json()
+        path = tmp_path / "fixed.json"
+        path.write_text(json.dumps({"S": survivor, "T": survivor}))
+        with pytest.raises(TypeError, match="bug in the involution"):
+            run_cli("involute", "--app", "kostka", "--input", str(path))
+
     def test_rimhook_round_trip(self, tmp_path):
         from combinv.involutions import RhtTriple
         from combinv.rimhook import Permutation

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -12,7 +12,6 @@ from combinv.core import (
     chain_of,
     column_length,
     compositions,
-    diagram,
     filling_of,
     is_partition,
     last_part_sum,
@@ -26,17 +25,17 @@ from combinv.core import (
     sort_comp,
     truncate,
 )
-from combinv.kostka import (
-    enumerate_ssyt,
+from combinv.kostka import enumerate_ssyt, is_srht, is_ssyt, rht_sign
+from combinv.rimhook import enumerate_rht, is_rht
+from oracles import (
+    all_fillings,
+    cells_of,
+    diagram,
     hook_sign,
     is_horizontal_strip,
     is_rim_hook,
     is_special_rim_hook,
-    is_srht,
-    is_ssyt,
-    rht_sign,
 )
-from combinv.rimhook import enumerate_rht, is_rht
 
 
 def brute_compositions(n):
@@ -247,7 +246,7 @@ class TestFilling:
         f = Filling(((1, 1, 2), (2, 3)))
         assert f.shape == (3, 2)
         assert f.content() == (2, 2, 1)
-        assert f.cells_of(2) == frozenset({(1, 3), (2, 1)})
+        assert cells_of(f, 2) == frozenset({(1, 3), (2, 1)})
         assert f.max_label() == 3
 
     def test_json_round_trip(self):
@@ -267,24 +266,11 @@ def cell_set_tableau(filling, is_layer):
     a partition diagram, checked on cell sets only."""
     cells = frozenset()
     for k in range(1, filling.max_label() + 1):
-        layer = filling.cells_of(k)
+        layer = cells_of(filling, k)
         cells |= layer
         if not is_layer(layer) or partition_of_cells(cells) is None:
             return False
     return True
-
-
-def all_fillings(n):
-    """Every filling of every partition of n with labels exactly 1..max."""
-    for lam in partitions(n):
-        for labels in product(range(1, n + 1), repeat=n):
-            if set(labels) != set(range(1, max(labels, default=0) + 1)):
-                continue
-            rows, pos = [], 0
-            for part in lam:
-                rows.append(labels[pos : pos + part])
-                pos += part
-            yield lam, Filling(tuple(rows))
 
 
 class TestChains:
@@ -328,6 +314,6 @@ class TestChains:
                 if rht:
                     expected = 1
                     for k in range(1, len(beta) + 1):
-                        expected *= hook_sign(f.cells_of(k))
+                        expected *= hook_sign(cells_of(f, k))
                     assert rht_sign(f) == expected, f
         assert count == 4209

@@ -18,6 +18,7 @@ from combinv.involutions import (
     verify_pairing,
 )
 from combinv.rimhook import Permutation, cyc_comp, enumerate_rht
+from oracles import cells_of, diagram
 
 
 def all_choice_sequences(n):
@@ -131,9 +132,11 @@ class TestChoiceSequences:
         assert seq == (15, 3, 3, 3, 13, 1, 5, 3, 2, 3, 8, 3, 4, 2, 3, 1, 2, 1)
         rebuilt, sigma_back = f_lambda((5, 4, 4, 3, 2), seq)
         assert rebuilt == s and sigma_back == sigma
-        rho = s.cells_of(5)
+        rho = cells_of(s, 5)
         assert f_mu_rho_inv(s, sigma) == seq[1:]
-        pinned, sigma_pinned = f_mu_rho((5, 4, 4, 3, 2), rho, seq[1:])
+        gamma = (5, 4, 4, 1, 1)  # the shape rho leaves
+        assert diagram((5, 4, 4, 3, 2)) - diagram(gamma) == rho
+        pinned, sigma_pinned = f_mu_rho((5, 4, 4, 3, 2), gamma, seq[1:])
         assert pinned == s and sigma_pinned == sigma
 
     def test_single_cell(self):
@@ -176,7 +179,7 @@ class TestChoiceSequences:
             f_lambda((2, 1), (1, 1, 1), ground=(1, 2))
 
     def test_pinned_single_cell(self):
-        filling, sigma = f_mu_rho((1,), frozenset({(1, 1)}), ())
+        filling, sigma = f_mu_rho((1,), (), ())
         assert filling == Filling(((1,),))
 
     def test_pinned_transport_is_bijection(self):
@@ -186,13 +189,14 @@ class TestChoiceSequences:
         for lam in [(3, 1), (2, 2, 1)]:
             n = sum(lam)
             removals = hook_removals(lam)
-            source = removals[0][1]
-            for target in (cells for _, cells, _ in removals[1:]):
+            source = removals[0][0]
+            for target in (gamma for gamma, _, _ in removals[1:]):
+                cells = diagram(lam) - diagram(target)
                 seen = set()
                 for seq in product(*[range(1, k + 1) for k in range(n - 1, 0, -1)]):
                     filling, sigma = f_mu_rho(lam, source, seq)
                     moved = f_mu_rho(lam, target, f_mu_rho_inv(filling, sigma))
-                    assert moved[0].cells_of(moved[0].max_label()) == target
+                    assert cells_of(moved[0], moved[0].max_label()) == cells
                     seen.add(moved)
                 assert len(seen) == factorial(n - 1)
 

@@ -3,7 +3,6 @@ import pytest
 from combinv.core import (
     Filling,
     compositions,
-    diagram,
     is_partition,
     partitions,
     shape_contains,
@@ -11,10 +10,6 @@ from combinv.core import (
 from combinv.framework import build_A, build_B, check_sorting_condition
 from combinv.kostka import (
     enumerate_ssyt,
-    hook_sign,
-    is_horizontal_strip,
-    is_rim_hook,
-    is_special_rim_hook,
     is_srht,
     is_ssyt,
     kostka_pair,
@@ -23,6 +18,14 @@ from combinv.kostka import (
     rht_sign,
     srht_find,
     strip_removals,
+)
+from oracles import (
+    cells_of,
+    diagram,
+    hook_sign,
+    is_horizontal_strip,
+    is_rim_hook,
+    is_special_rim_hook,
 )
 
 
@@ -128,7 +131,7 @@ class TestSsyt:
                 for filling in enumerate_ssyt(lam, beta):
                     cells = set()
                     for k in range(1, len(beta) + 1):
-                        layer = filling.cells_of(k)
+                        layer = cells_of(filling, k)
                         assert is_horizontal_strip(layer)
                         cells |= layer
                         rows = [i for i, _ in cells]
@@ -170,13 +173,15 @@ class TestSrht:
             for mu in partitions(n):
                 removals = srh_removals(mu)
                 assert len(removals) == len(mu)
-                sizes = [len(cells) for _, cells, _ in removals]
+                sizes = [size for _, size, _ in removals]
                 assert sorted(sizes, reverse=True) == sizes
                 assert len(set(sizes)) == len(sizes)
-                for gamma, cells, sign in removals:
+                for gamma, size, sign in removals:
+                    assert is_partition(gamma) and shape_contains(mu, gamma)
+                    cells = diagram(mu) - diagram(gamma)
                     assert is_special_rim_hook(cells)
                     assert hook_sign(cells) == sign
-                    assert is_partition(gamma) and diagram(mu) - cells == diagram(gamma)
+                    assert len(cells) == size
 
 
 class TestSystemSets:

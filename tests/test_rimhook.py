@@ -9,7 +9,7 @@ import goldens
 from combinv.core import (
     centralizer_order,
     compositions,
-    diagram,
+    is_hook_removal,
     partitions,
     shape_contains,
     sort_comp,
@@ -21,14 +21,13 @@ from combinv.framework import (
     square_fold_B,
     square_restrict_A,
 )
-from combinv.kostka import hook_sign, is_rim_hook, rht_sign
+from combinv.kostka import rht_sign, srh_removals
 from combinv.rimhook import (
     Abacus,
     Permutation,
     abacus_from_partition,
     abacus_move_bead,
     border_hook,
-    border_hook_by_number,
     border_number_of_hook,
     cell_at,
     count_by_cyc_comp,
@@ -41,6 +40,7 @@ from combinv.rimhook import (
     rimhook_pair,
     rimhook_system,
 )
+from oracles import diagram, hook_sign, is_rim_hook, is_special_rim_hook
 
 
 @st.composite
@@ -86,49 +86,97 @@ def brute_g_rimhook(lam, mu):
     return out
 
 
+def subshapes(lam):
+    """Every partition gamma with dg(gamma) inside dg(lam), the empty one and
+    lam itself included."""
+    return [
+        gamma
+        for k in range(sum(lam) + 1)
+        for gamma in partitions(k)
+        if shape_contains(lam, gamma)
+    ]
+
+
 class TestBorderHooks:
     def test_count_equals_size(self):
         for n in range(1, 9):
             for lam in partitions(n):
                 removals = hook_removals(lam)
                 assert len(removals) == n
-                assert len({frozenset(c) for _, c, _ in removals}) == n
+                cell_sets = {diagram(lam) - diagram(g) for g, _, _ in removals}
+                assert len(cell_sets) == n
 
     def test_removals_are_valid(self):
         for n in range(1, 9):
             for lam in partitions(n):
-                for gamma, cells, sign in hook_removals(lam):
+                for gamma, size, sign in hook_removals(lam):
+                    assert shape_contains(lam, gamma)
+                    cells = diagram(lam) - diagram(gamma)
                     assert is_rim_hook(cells)
                     assert hook_sign(cells) == sign
-                    assert diagram(lam) - diagram(gamma) == cells
+                    assert len(cells) == size
 
     def test_figure_example(self):
-        gamma, cells, _ = border_hook((5, 5, 4, 4, 3), (2, 2))
+        gamma, size, _ = border_hook((5, 5, 4, 4, 3), (2, 2))
         assert gamma == (5, 3, 3, 2, 1)
-        assert cells == frozenset(
+        assert size == 7
+        assert diagram((5, 5, 4, 4, 3)) - diagram(gamma) == frozenset(
             {(2, 4), (2, 5), (3, 4), (4, 3), (4, 4), (5, 2), (5, 3)}
         )
 
     def test_single_row(self):
-        gamma, cells, sign = border_hook_by_number((6,), 1)
-        assert gamma == () and len(cells) == 6 and sign == 1
+        gamma, size, sign = border_hook((6,), cell_at((6,), 1))
+        assert gamma == () and size == 6 and sign == 1
 
     def test_choice_example(self):
         assert cell_at((5, 4, 4, 3, 2), 15) == (4, 2)
-        gamma, cells, _ = border_hook_by_number((5, 4, 4, 3, 2), 15)
+        gamma, size, _ = border_hook((5, 4, 4, 3, 2), cell_at((5, 4, 4, 3, 2), 15))
         assert gamma == (5, 4, 4, 1, 1)
-        assert len(cells) == 3
+        assert size == 3
 
     def test_number_round_trip(self):
         for n in range(1, 9):
             for lam in partitions(n):
                 for number in range(1, n + 1):
-                    _, cells, _ = border_hook_by_number(lam, number)
-                    assert border_number_of_hook(lam, cells) == number
+                    gamma, _, _ = border_hook(lam, cell_at(lam, number))
+                    assert border_number_of_hook(lam, gamma) == number
 
     def test_invalid_hook_rejected(self):
+        # dg((2, 2)) - dg(()) is the 2x2 square, which no border hook removes
         with pytest.raises(ValueError):
-            border_number_of_hook((2, 2), frozenset({(1, 1)}))
+            border_number_of_hook((2, 2), ())
+
+    def test_hook_removal_needs_containment(self):
+        assert is_hook_removal((2, 2), (1,))
+        assert not is_hook_removal((3, 1), (1,))
+        assert not is_hook_removal((2,), (3,))
+        assert not is_hook_removal((2, 1), (1, 1, 1))
+        assert not is_hook_removal((2, 2), (2, 2))
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_shape_predicates_match_cell_set_oracle(self, n):
+        """Every gamma inside lam: is_hook_removal, membership in the
+        hook_removals and srh_removals shapes, and border_number_of_hook
+        agree with the cell-set oracles on dg(lam) - dg(gamma)."""
+        for lam in partitions(n):
+            hooks = {g: (size, sign) for g, size, sign in hook_removals(lam)}
+            special = {g: (size, sign) for g, size, sign in srh_removals(lam)}
+            assert len(hooks) == n and len(special) == len(lam)
+            for gamma in subshapes(lam):
+                cells = diagram(lam) - diagram(gamma)
+                rim = is_rim_hook(cells)
+                assert is_hook_removal(lam, gamma) == rim, (lam, gamma)
+                assert (gamma in hooks) == rim, (lam, gamma)
+                assert (gamma in special) == is_special_rim_hook(cells), (lam, gamma)
+                if gamma in special:
+                    assert special[gamma] == (len(cells), hook_sign(cells))
+                if rim:
+                    assert hooks[gamma] == (len(cells), hook_sign(cells))
+                    number = border_number_of_hook(lam, gamma)
+                    assert border_hook(lam, cell_at(lam, number))[0] == gamma
+                else:
+                    with pytest.raises(ValueError):
+                        border_number_of_hook(lam, gamma)
 
 
 class TestRht:
@@ -254,12 +302,11 @@ class TestAbacus:
                 abacus = abacus_from_partition(lam, beads)
                 padded = lam + (0,) * (beads - len(lam))
                 for number in range(1, n + 1):
-                    gamma, cells, sign = border_hook_by_number(lam, number)
+                    gamma, size, sign = border_hook(lam, cell_at(lam, number))
                     i, _ = cell_at(lam, number)
+                    assert size == len(diagram(lam) - diagram(gamma))
                     source = beads - i + padded[i - 1]
-                    moved, bead_sign = abacus_move_bead(
-                        abacus, source, source - len(cells)
-                    )
+                    moved, bead_sign = abacus_move_bead(abacus, source, source - size)
                     assert moved.partition() == gamma
                     assert bead_sign == sign
 
