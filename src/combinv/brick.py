@@ -16,7 +16,6 @@ from .core import (
     Filling,
     Partition,
     compositions,
-    has_shape_and_content,
     last_part_sum,
     multiset_diff,
     multiset_intersect,
@@ -67,7 +66,10 @@ def enumerate_obt(lam: Partition, beta: Composition) -> list[Filling]:
 
 
 def is_obt(filling: Filling, lam: Partition, beta: Composition) -> bool:
-    if not has_shape_and_content(filling, lam, beta):
+    try:
+        if filling.shape != tuple(lam) or filling.content() != tuple(beta):
+            return False
+    except ValueError:  # labels are not contiguous from 1
         return False
     row_labels = [v for row in filling.rows for v in set(row)]
     if len(row_labels) != len(set(row_labels)):  # a label in two rows

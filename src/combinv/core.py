@@ -276,38 +276,17 @@ class Filling:
     def __repr__(self) -> str:
         return "Filling(%r)" % (self.rows,)
 
-    def pretty(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
-
     def to_json(self) -> dict:
         return {"shape": list(self.shape), "rows": [list(r) for r in self.rows]}
 
     @classmethod
     def from_json(cls, data: dict) -> "Filling":
         filling = cls(tuple(tuple(r) for r in data["rows"]))
+        if any(type(v) is not int for row in filling.rows for v in row):
+            raise ValueError("labels must be integers")
         if "shape" in data and tuple(data["shape"]) != filling.shape:
             raise ValueError("shape field disagrees with rows")
         return filling
-
-
-EMPTY_FILLING = Filling(())
-
-
-def has_shape_and_content(
-    filling: Filling, shape: tuple[int, ...], content: Composition
-) -> bool:
-    """The filling has row lengths `shape` and label counts `content`."""
-    if filling.shape != tuple(shape):
-        return False
-    try:
-        return filling.content() == tuple(content)
-    except ValueError:
-        return False
-
-
-def row_filling(shape: Partition) -> Filling:
-    """The filling of dg(shape) whose row i is filled with the label i."""
-    return Filling(tuple((i,) * row for i, row in enumerate(shape, start=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +322,16 @@ def filling_of(chain: Chain) -> Filling:
 
 
 def is_chain_tableau(
-    filling: Filling, shape: tuple[int, ...], content: Composition, step
+    chain: Chain, shape: tuple[int, ...], content: Composition, step
 ) -> bool:
-    """Shape `shape`, content `content`, every label prefix a partition
-    diagram, and step(outer, inner) true for each pair of consecutive
-    prefixes."""
-    if not has_shape_and_content(filling, shape, content):
+    """The chain runs from () to `shape` in nonempty steps of the sizes
+    `content`, and step(outer, inner) is true for each pair of consecutive
+    shapes.  A Filling is checked as chain_of(filling); None is no tableau."""
+    steps = list(zip(chain, chain[1:]))
+    sizes = tuple(sum(outer) - sum(inner) for inner, outer in steps)
+    if chain[0] != () or chain[-1] != tuple(shape) or sizes != tuple(content):
         return False
-    chain = chain_of(filling)
-    return chain is not None and all(
-        step(outer, inner) for inner, outer in zip(chain, chain[1:])
-    )
+    return all(sizes) and all(step(outer, inner) for inner, outer in steps)
 
 
 # ---------------------------------------------------------------------------

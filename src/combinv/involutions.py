@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations as _itertools_permutations
 from math import factorial
 
@@ -24,7 +25,6 @@ from .core import (
     chain_of,
     compositions,
     filling_of,
-    row_filling,
 )
 from .kostka import (
     enumerate_ssyt,
@@ -83,13 +83,23 @@ def _strip_and_swap(s: Chain, t: Chain, pair_at, trace) -> tuple[int, Partition]
 
 
 def _restore(
-    s_head: Chain, t_head: Chain, s: Chain, t: Chain, j: int, trace
-) -> tuple[Filling, Filling]:
-    """Push the shapes stripped above index j+1 back onto the new heads."""
+    cls, s_head: Chain, t_head: Chain, s: Chain, t: Chain, j: int, trace, *rest
+) -> KostkaPair | RhtTriple:
+    """Push the shapes stripped above index j+1 back onto the new heads, and
+    build the output pair or triple of class cls from the two chains: its
+    constructor checks them instead of deriving them again."""
     for k in range(j + 2, len(s)):
         s_head, t_head = s_head + (s[k],), t_head + (t[k],)
         _trace_chains(trace, "restore", len(s_head) - 1, s_head, t_head)
-    return filling_of(s_head), filling_of(t_head)
+    obj = cls.__new__(cls)
+    vars(obj)["_chains"] = (s_head, t_head)  # seeds the cached property
+    obj.__init__(filling_of(s_head), filling_of(t_head), *rest)
+    return obj
+
+
+def _row_chain(lam: Partition) -> Chain:
+    """The chain of the filling whose row i holds the label i: the prefixes of lam."""
+    return tuple(lam[:k] for k in range(len(lam) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +117,19 @@ class KostkaPair:
         beta = self.s.content()
         if beta != self.t.content():
             raise ValueError("contents disagree")
-        if not is_ssyt(self.s, self.s.shape, beta):
+        s, t = self._chains
+        if s is None or not is_ssyt(s, self.s.shape, beta):
             raise ValueError("first component is not semistandard")
-        if not is_srht(self.t, self.t.shape, beta):
+        if t is None or not is_srht(t, self.t.shape, beta):
             raise ValueError("second component is not a special rim-hook tableau")
+
+    @cached_property
+    def _chains(self) -> tuple[Chain | None, Chain | None]:
+        return chain_of(self.s), chain_of(self.t)
 
     @property
     def sign(self) -> int:
-        return rht_sign(self.t)
+        return rht_sign(self._chains[1])
 
     def to_json(self) -> dict:
         return {"S": self.s.to_json(), "T": self.t.to_json()}
@@ -126,7 +141,7 @@ class KostkaPair:
 
 def kostka_survivor(lam: Partition) -> KostkaPair:
     """The unique pair with equal components: row i filled with i, twice."""
-    filling = row_filling(lam)
+    filling = filling_of(_row_chain(lam))
     return KostkaPair(filling, filling)
 
 
@@ -136,14 +151,14 @@ def kostka_involution(pair: KostkaPair, trace: list | None = None) -> KostkaPair
     Off fixed points the output has opposite sign, the same two shapes, and
     a second application returns the input.
     """
-    if pair.s == pair.t:
-        if pair.s != row_filling(pair.s.shape):
+    s, t = pair._chains
+    if s == t:
+        if s != _row_chain(s[-1]):
             raise AssertionError("equal components must form the survivor")
         return None
-    s, t = chain_of(pair.s), chain_of(pair.t)
     j, gamma_new = _strip_and_swap(s, t, kostka_pair, trace)
-    head = chain_of(row_filling(gamma_new))
-    return KostkaPair(*_restore(head + (s[j + 1],), head + (t[j + 1],), s, t, j, trace))
+    head = _row_chain(gamma_new)
+    return _restore(KostkaPair, head + (s[j + 1],), head + (t[j + 1],), s, t, j, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +176,14 @@ def f_lambda(
     are built right to left, each starting at the least unused element, so
     the cycle lengths read off in canonical order equal the content of S.
     """
+    chain, sigma = _decode(lam, choices, ground)
+    return filling_of(chain), sigma
+
+
+def _decode(
+    lam: Partition, choices: ChoiceSequence, ground: tuple[int, ...] | None
+) -> tuple[Chain, Permutation]:
+    """f_lambda with the survivor S given by its chain."""
     n = sum(lam)
     if ground is None:
         ground = tuple(range(1, n + 1))
@@ -188,8 +211,7 @@ def f_lambda(
             cycle.append(available.pop(pick - 1))
         shapes.append(gamma)
         cycles.append(tuple(cycle))
-    sigma = Permutation.from_cycles(list(reversed(cycles)))
-    return filling_of(tuple(reversed(shapes))), sigma
+    return tuple(reversed(shapes)), Permutation.from_cycles(list(reversed(cycles)))
 
 
 def f_lambda_inv(filling: Filling, sigma: Permutation) -> ChoiceSequence:
@@ -199,6 +221,11 @@ def f_lambda_inv(filling: Filling, sigma: Permutation) -> ChoiceSequence:
     chain = chain_of(filling)
     if chain is None:
         raise ValueError("label prefixes are not partition diagrams")
+    return _encode(chain, sigma)
+
+
+def _encode(chain: Chain, sigma: Permutation) -> ChoiceSequence:
+    """f_lambda_inv of the survivor whose S is given by its chain."""
     available = sorted(sigma.ground)
     cycles = list(sigma.canonical_cycles())
     out: list[int] = []
@@ -248,14 +275,19 @@ class RhtTriple:
         beta = self.s.content()
         if beta != self.t.content() or beta != cyc_comp(self.sigma):
             raise ValueError("contents and cycle composition must all agree")
-        if not is_rht(self.s, self.s.shape, beta):
+        s, t = self._chains
+        if s is None or not is_rht(s, self.s.shape, beta):
             raise ValueError("first component is not a rim-hook tableau")
-        if not is_rht(self.t, self.t.shape, beta):
+        if t is None or not is_rht(t, self.t.shape, beta):
             raise ValueError("second component is not a rim-hook tableau")
+
+    @cached_property
+    def _chains(self) -> tuple[Chain | None, Chain | None]:
+        return chain_of(self.s), chain_of(self.t)
 
     @property
     def sign(self) -> int:
-        return rht_sign(self.s) * rht_sign(self.t)
+        return rht_sign(self._chains[0]) * rht_sign(self._chains[1])
 
     def to_json(self) -> dict:
         return {
@@ -280,26 +312,23 @@ def rht_involution(triple: RhtTriple, trace: list | None = None) -> RhtTriple | 
     survivor shape through the abacus pairing, transports the pinned
     survivor with choice sequences, and restores everything renumbered.
     """
-    if triple.s == triple.t:
+    s, t = triple._chains
+    if s == t:
         return None
-    s, t = chain_of(triple.s), chain_of(triple.t)
     j, gamma_new = _strip_and_swap(s, t, rimhook_pair, trace)
     cycles = triple.sigma.canonical_cycles()
-    t_prime = filling_of(t[: j + 2])
     sigma_prime = Permutation.from_cycles(list(cycles[: j + 1]))
     mu_bar = t[j + 1]
-    seq = f_mu_rho_inv(t_prime, sigma_prime)
-    t_next, sigma_next = f_mu_rho(mu_bar, gamma_new, seq, ground=sigma_prime.ground)
-    _trace_step(
-        trace,
-        "f_transport",
-        {"T": t_prime.to_json(), "sigma": sigma_prime.to_json()},
-        {"T": t_next.to_json(), "sigma": sigma_next.to_json()},
-    )
-    head = chain_of(t_next)
-    s_out, t_out = _restore(head[:-1] + (s[j + 1],), head, s, t, j, trace)
+    seq = _encode(t[: j + 2], sigma_prime)[1:]
+    number = border_number_of_hook(mu_bar, gamma_new)
+    head, sigma_next = _decode(mu_bar, (number,) + seq, sigma_prime.ground)
+    if trace is not None:
+        before = {"T": filling_of(t[: j + 2]).to_json(), "sigma": sigma_prime.to_json()}
+        after = {"T": filling_of(head).to_json(), "sigma": sigma_next.to_json()}
+        _trace_step(trace, "f_transport", before, after)
     out_cycles = sigma_next.canonical_cycles() + cycles[j + 1 :]
-    return RhtTriple(s_out, t_out, Permutation.from_cycles(list(out_cycles)))
+    sigma_out = Permutation.from_cycles(list(out_cycles))
+    return _restore(RhtTriple, head[:-1] + (s[j + 1],), head, s, t, j, trace, sigma_out)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +404,7 @@ def verify_pairing(app: str, lam: Partition, mu: Partition) -> PairingReport:
         apply_map = rht_involution
     else:
         raise ValueError("unknown application %r" % app)
-    shapes = lambda obj: (obj.s.shape, obj.t.shape)
+    shapes = lambda obj: (obj._chains[0][-1], obj._chains[1][-1])
     fixed = 0
     signed_total = Fraction(0)
     involution_ok = True

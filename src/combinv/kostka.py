@@ -9,6 +9,7 @@ removal is the shape it leaves; a special rim hook is a column-1 border hook.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .core import (
     Chain,
@@ -16,7 +17,6 @@ from .core import (
     Filling,
     Partition,
     border_hook,
-    chain_of,
     filling_of,
     is_chain_tableau,
     is_strip_removal,
@@ -31,26 +31,20 @@ from .framework import LocalSystem, Pairing
 # Signs of (special) rim-hook tableaux
 # ---------------------------------------------------------------------------
 
-def rht_sign(filling: Filling) -> int:
+def rht_sign(chain: Chain) -> int:
     """Product of the hook signs of the label classes of a (special) rim-hook
-    tableau, read off consecutive label-prefix shapes."""
-    chain = chain_of(filling)
-    if chain is None:
-        raise ValueError("label prefixes are not partition diagrams")
-    sign = 1
-    for inner, outer in zip(chain, chain[1:]):
-        sign *= skew_sign(outer, inner)
-    return sign
+    tableau, read off the consecutive shapes of its chain."""
+    return prod(skew_sign(outer, inner) for inner, outer in zip(chain, chain[1:]))
 
 
 # ---------------------------------------------------------------------------
 # Semistandard Young tableaux
 # ---------------------------------------------------------------------------
 
-def is_ssyt(filling: Filling, lam: Partition, beta: Composition) -> bool:
+def is_ssyt(chain: Chain, lam: Partition, beta: Composition) -> bool:
     """Shape lam, content beta, each label class a horizontal strip added to
     a partition diagram (rows weakly increasing, columns strict)."""
-    return is_chain_tableau(filling, lam, beta, is_strip_removal)
+    return is_chain_tableau(chain, lam, beta, is_strip_removal)
 
 
 def strip_removals(lam: Partition, length: int) -> list[Partition]:
@@ -134,15 +128,11 @@ def srht_find(mu: Partition, beta: Composition) -> tuple[Filling, int] | None:
     return filling_of(tuple(reversed(shapes))), sign
 
 
-def is_srht(filling: Filling, mu: Partition, beta: Composition) -> bool:
+def is_srht(chain: Chain, mu: Partition, beta: Composition) -> bool:
     """Each label class a special rim-hook of the right size added to a
     partition diagram."""
-    return is_chain_tableau(
-        filling,
-        mu,
-        beta,
-        lambda outer, inner: inner in [g for g, _, _ in srh_removals(outer)],
-    )
+    step = lambda outer, inner: inner in [g for g, _, _ in srh_removals(outer)]
+    return is_chain_tableau(chain, mu, beta, step)
 
 
 # ---------------------------------------------------------------------------

@@ -101,10 +101,10 @@ def enumerate_rht(lam: Partition, beta: Composition) -> list[tuple[Filling, int]
     return [(filling_of(chain), sign) for chain, sign in rec(tuple(lam), len(beta))]
 
 
-def is_rht(filling: Filling, lam: Partition, beta: Composition) -> bool:
+def is_rht(chain: Chain, lam: Partition, beta: Composition) -> bool:
     """Label classes are rim-hooks of the right sizes and every label prefix
-    of the filling is a partition diagram."""
-    return is_chain_tableau(filling, lam, beta, is_hook_removal)
+    is a partition diagram."""
+    return is_chain_tableau(chain, lam, beta, is_hook_removal)
 
 
 def rimhook_system() -> LocalSystem:
@@ -337,9 +337,10 @@ class Permutation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Permutation":
-        return cls.from_cycles(
-            [tuple(c) for c in data["cycles"]], tuple(data["ground"])
-        )
+        cycles, ground = [tuple(c) for c in data["cycles"]], tuple(data["ground"])
+        if not set(ground).issuperset(x for c in cycles for x in c):
+            raise ValueError("cycle element outside the ground set")
+        return cls.from_cycles(cycles, ground)
 
 
 def cyc_comp(sigma: Permutation) -> Composition:

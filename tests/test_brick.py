@@ -65,6 +65,12 @@ class TestObtEnumeration:
                 expected = filling in enumerate_obt(lam, beta)
                 assert is_obt(filling, lam, beta) == expected, filling
 
+    def test_validator_checks_shape_and_content(self):
+        assert is_obt(Filling(((1, 2),)), (2,), (1, 1))
+        assert not is_obt(Filling(((1, 2),)), (1, 1), (1, 1))
+        assert not is_obt(Filling(((1, 2),)), (2,), (2,))
+        assert not is_obt(Filling(((1, 3),)), (2,), (1, 0, 1))  # no label 2
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_counts_match_matrix(self, n):
         matrix = build_A(obt_system(), n)

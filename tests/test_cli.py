@@ -254,7 +254,12 @@ class TestInvoluteCommand:
 
     @pytest.mark.parametrize(
         "payload",
-        [{"S": 5, "T": 5}, {"S": {"rows": ["ab"]}, "T": {"rows": [[1]]}}],
+        [
+            {"S": 5, "T": 5},
+            {"S": {"rows": ["ab"]}, "T": {"rows": [[1]]}},
+            {"S": {"rows": [[1, 1]]}, "T": {"rows": [[True, 1]]}},
+            {"S": {"rows": [[1.0, 2]]}, "T": {"rows": [[1], [2]]}},
+        ],
     )
     def test_wrongly_typed_kostka_input(self, tmp_path, capsys, payload):
         path = tmp_path / "pair.json"
@@ -268,6 +273,11 @@ class TestInvoluteCommand:
         [
             {"S": 5, "T": 5, "sigma": 5},
             {"S": {"rows": ["ab"]}, "T": {"rows": [[1]]}, "sigma": {}},
+            {
+                "S": {"rows": [[1, 1, 1]]},
+                "T": {"rows": [[1], [1], [1]]},
+                "sigma": {"ground": [1, 2], "cycles": [[1, 2, 3]]},
+            },
         ],
     )
     def test_wrongly_typed_rimhook_input(self, tmp_path, capsys, payload):

@@ -288,6 +288,16 @@ class TestChains:
         assert chain_of(Filling(((2,), (1,)))) is None
         assert chain_of(Filling(((1, 1), (2, 2, 2)))) is None
 
+    @pytest.mark.parametrize("validator", [is_ssyt, is_srht, is_rht])
+    def test_validators_need_a_whole_chain(self, validator):
+        assert validator(((), (1,), (2,)), (2,), (1, 1)) == (validator is not is_srht)
+        assert not validator(((1,), (2,)), (2,), (1,))  # does not start at ()
+        assert not validator(((), (1,), (2,)), (1, 1), (1, 1))  # another shape
+        assert not validator(((), (1,), (2,)), (2,), (2,))  # another content
+        # labels 1 and 3 of a row (1, 3): the empty step of label 2 is no tableau
+        assert chain_of(Filling(((1, 3),))) == ((), (1,), (1,), (2,))
+        assert not validator(((), (1,), (1,), (2,)), (2,), (1, 0, 1))
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_round_trip(self, n):
         for lam in partitions(n):
@@ -308,12 +318,14 @@ class TestChains:
                 ssyt = cell_set_tableau(f, is_horizontal_strip)
                 srht = cell_set_tableau(f, is_special_rim_hook)
                 rht = cell_set_tableau(f, is_rim_hook)
-                assert is_ssyt(f, lam, beta) == ssyt, f
-                assert is_srht(f, lam, beta) == srht, f
-                assert is_rht(f, lam, beta) == rht, f
+                chain = chain_of(f)  # None: not a tableau, so every check rejects
+                accepts = lambda valid: chain is not None and valid(chain, lam, beta)
+                assert accepts(is_ssyt) == ssyt, f
+                assert accepts(is_srht) == srht, f
+                assert accepts(is_rht) == rht, f
                 if rht:
                     expected = 1
                     for k in range(1, len(beta) + 1):
                         expected *= hook_sign(cells_of(f, k))
-                    assert rht_sign(f) == expected, f
+                    assert rht_sign(chain) == expected, f
         assert count == 4209

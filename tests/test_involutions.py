@@ -1,13 +1,16 @@
 import json
+import sys
 from itertools import permutations as all_permutations, product
 from math import factorial
 
 import pytest
 
-from combinv.core import Filling, compositions, partitions
+from combinv.core import Filling, chain_of, compositions, partitions
 from combinv.involutions import (
     KostkaPair,
     RhtTriple,
+    _all_kostka_pairs,
+    _all_rht_triples,
     f_lambda,
     f_lambda_inv,
     f_mu_rho,
@@ -114,7 +117,7 @@ class TestKostkaInvolution:
         with pytest.raises(ValueError, match=message):
             KostkaPair(Filling(s), Filling(t))
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_exhaustive_audit(self, n):
         for lam in partitions(n):
             for mu in partitions(n):
@@ -255,6 +258,51 @@ class TestRhtInvolution:
             for mu in partitions(n):
                 report = verify_pairing("rimhook", lam, mu)
                 assert report.passed, report
+
+    def test_chain_of_runs_at_most_twice_per_object(self, monkeypatch):
+        # each pair or triple derives its two chains once, when it is built
+        # from Fillings; the involutions build their images from chains
+        calls = []
+
+        def counting(filling):
+            calls.append(filling)
+            return chain_of(filling)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "combinv":
+                if getattr(module, "chain_of", None) is chain_of:
+                    monkeypatch.setattr(module, "chain_of", counting)
+        report = verify_pairing("rimhook", (3, 1, 1), (3, 1, 1))
+        assert report.passed and report.size == 280
+        assert 0 < len(calls) <= 2 * report.size
+
+    @pytest.mark.parametrize("app, n", [("kostka", 5), ("rimhook", 4)])
+    def test_images_match_the_public_constructor(self, app, n):
+        # an image built from chains equals the one its JSON rebuilds
+        build, apply_map = {
+            "kostka": (_all_kostka_pairs, kostka_involution),
+            "rimhook": (_all_rht_triples, rht_involution),
+        }[app]
+        for lam in partitions(n):
+            for mu in partitions(n):
+                for obj in build(lam, mu):
+                    image = apply_map(obj)
+                    if image is not None:
+                        rebuilt = type(image).from_json(image.to_json())
+                        assert rebuilt == image and rebuilt.sign == image.sign
+                        assert image._chains == (chain_of(image.s), chain_of(image.t))
+
+    def test_audit_flags_a_map_that_moves_t(self, monkeypatch):
+        from combinv import involutions
+
+        # replace T by a rim-hook tableau of shape (3,) and the same content
+        def move_t(triple, trace=None):
+            (t, _), *_ = enumerate_rht((3,), triple.t.content())
+            return RhtTriple(triple.s, t, triple.sigma)
+
+        monkeypatch.setattr(involutions, "rht_involution", move_t)
+        report = verify_pairing("rimhook", (2, 1), (2, 1))
+        assert report.size > 0 and not report.shape_preserved_ok
 
     def test_fixed_point_census_small(self):
         report = verify_pairing("rimhook", (2, 1), (2, 1))

@@ -2,6 +2,7 @@ import pytest
 
 from combinv.core import (
     Filling,
+    chain_of,
     compositions,
     is_partition,
     partitions,
@@ -98,9 +99,9 @@ class TestPredicates:
 class TestSsyt:
     def test_is_ssyt_examples(self):
         good = Filling(((1, 1, 2, 2), (2, 3, 3)))
-        assert is_ssyt(good, (4, 3), (2, 3, 2))
-        assert is_ssyt(Filling(((1,) * 5,)), (5,), (5,))
-        assert not is_ssyt(Filling(((1, 2), (1, 2))), (2, 2), (2, 2))
+        assert is_ssyt(chain_of(good), (4, 3), (2, 3, 2))
+        assert is_ssyt(chain_of(Filling(((1,) * 5,))), (5,), (5,))
+        assert not is_ssyt(chain_of(Filling(((1, 2), (1, 2)))), (2, 2), (2, 2))
 
     def test_enumerate_examples(self):
         assert len(enumerate_ssyt((4, 3), (2, 3, 2))) == 2
@@ -116,7 +117,7 @@ class TestSsyt:
                 fast = enumerate_ssyt(lam, beta)
                 slow = brute_force_ssyt(lam, beta)
                 assert sorted(f.rows for f in fast) == sorted(f.rows for f in slow)
-                assert all(is_ssyt(f, lam, beta) for f in fast)
+                assert all(is_ssyt(chain_of(f), lam, beta) for f in fast)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_counts_match_matrix(self, n):
@@ -156,8 +157,9 @@ class TestSrht:
                 for beta in compositions(n):
                     found = srht_find(mu, beta)
                     if found is not None:
-                        assert is_srht(found[0], mu, beta)
-                        assert rht_sign(found[0]) == found[1]
+                        chain = chain_of(found[0])
+                        assert is_srht(chain, mu, beta)
+                        assert rht_sign(chain) == found[1]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_signed_sums_match_matrix(self, n):

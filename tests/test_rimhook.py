@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 import goldens
 from combinv.core import (
     centralizer_order,
+    chain_of,
     compositions,
     is_hook_removal,
     partitions,
@@ -196,8 +197,9 @@ class TestRht:
             for lam in partitions(n):
                 for beta in compositions(n):
                     for filling, sign in enumerate_rht(lam, beta):
-                        assert is_rht(filling, lam, beta)
-                        assert rht_sign(filling) == sign
+                        chain = chain_of(filling)
+                        assert is_rht(chain, lam, beta)
+                        assert rht_sign(chain) == sign
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_signed_sums_match_matrix(self, n):
