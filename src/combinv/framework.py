@@ -2,12 +2,12 @@
 
 A `LocalSystem` packages the data each application supplies: the shape sets
 R(n), the one-step successor sets for both matrix families, and the two
-weight functions.  One recursion builds both families bottom-up, each call
-from level 0 (no state is kept on the system): `build_A` runs it with the
-A-side successors and weights, `build_B` with the B-side ones and returns
-the transpose.  The identity A_n * B_n = I can be checked either directly
-(`verify_inversion`) or one shape pair at a time (`verify_local`), where
-`local_terms` lists the shared one-step successors and their terms.
+weight functions.  Two primitives on sparse dict rows carry the rest: the
+one-step matrix `_step_rows` (D(shape, gamma) = weight over R(m)) and the one
+product `_cross` (X * Y^T).  One recursion sweeps the step rows up from level
+0 behind `build_A` and `build_B`.  A_n * B_n = I is checked globally
+(`verify_inversion`, through `IndexedMatrix.matmul`) or one shape pair at a
+time (`verify_local`, the product D_A * D_B^T of the level-n step rows).
 """
 
 from __future__ import annotations
@@ -26,24 +26,20 @@ from .core import (
     rational_to_json,
     require_partition,
     sort_comp,
-    truncate,
 )
 
 Shape = tuple[int, ...]
+Succ = Callable[[Shape, int], list[Shape]]
+Weight = Callable[[Shape, Shape], Fraction]
 
 
 class IndexedMatrix:
-    """Dense exact-rational matrix keyed by explicit shape lists."""
+    """Dense matrix of exact int or Fraction entries keyed by explicit shape lists."""
 
-    def __init__(
-        self,
-        row_keys: list[Shape],
-        col_keys: list[Shape],
-        entries: list[list[Fraction]],
-    ):
+    def __init__(self, row_keys: list[Shape], col_keys: list[Shape], entries: list):
         self.row_keys = [tuple(k) for k in row_keys]
         self.col_keys = [tuple(k) for k in col_keys]
-        self.entries = [[Fraction(e) for e in row] for row in entries]
+        self.entries = [list(row) for row in entries]
         if len(self.entries) != len(self.row_keys) or any(
             len(r) != len(self.col_keys) for r in self.entries
         ):
@@ -55,15 +51,6 @@ class IndexedMatrix:
         ):
             raise ValueError("duplicate keys")
 
-    @classmethod
-    def identity(cls, keys: list[Shape]) -> "IndexedMatrix":
-        n = len(keys)
-        return cls(
-            keys,
-            keys,
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)],
-        )
-
     def entry(self, row_key: Shape, col_key: Shape) -> Fraction:
         return self.entries[self._row_index[tuple(row_key)]][
             self._col_index[tuple(col_key)]
@@ -72,24 +59,18 @@ class IndexedMatrix:
     def matmul(self, other: "IndexedMatrix") -> "IndexedMatrix":
         if self.col_keys != other.row_keys:
             raise ValueError("inner key lists disagree")
-        columns = list(zip(*other.entries))
-        product = [
-            [
-                sum(
-                    (a * b for a, b in zip(row, col) if a and b),
-                    start=Fraction(0),
-                )
-                for col in columns
-            ]
-            for row in self.entries
-        ]
-        return IndexedMatrix(self.row_keys, other.col_keys, product)
+
+        def nonzero(rows):
+            return dict(enumerate({k: e for k, e in enumerate(r) if e} for r in rows))
+
+        product = _cross(nonzero(self.entries), nonzero(zip(*other.entries)))
+        width = range(len(other.col_keys))
+        entries = [[sums.get(j, 0) for j in width] for sums in product.values()]
+        return IndexedMatrix(self.row_keys, other.col_keys, entries)
 
     def is_identity(self) -> bool:
-        if self.row_keys != self.col_keys:
-            return False
-        return all(
-            e == (1 if i == j else 0)
+        return self.row_keys == self.col_keys and all(
+            e == int(i == j)
             for i, row in enumerate(self.entries)
             for j, e in enumerate(row)
         )
@@ -168,50 +149,73 @@ class LocalSystem:
 
     name: str
     shapes: Callable[[int], list[Shape]]
-    succ_a: Callable[[Shape, int], list[Shape]]
-    succ_b: Callable[[Shape, int], list[Shape]]
-    weight_a: Callable[[Shape, Shape], Fraction]
-    weight_b: Callable[[Shape, Shape], Fraction]
+    succ_a: Succ
+    succ_b: Succ
+    weight_a: Weight
+    weight_b: Weight
 
 
-def _recursion(
-    system: LocalSystem,
-    n: int,
-    succ: Callable[[Shape, int], list[Shape]],
-    weight: Callable[[Shape, Shape], Fraction],
-) -> tuple[list[Shape], list[Shape], list[list[Fraction]]]:
+def _successors(shape: Shape, succ: Succ) -> dict:
+    """The one-step successors of shape as an ordered set (a dict of None),
+    by removed size L ascending, each successor list asked for once."""
+    found: dict = {}
+    for length in range(1, sum(shape) + 1):
+        for gamma in succ(shape, length):
+            if gamma in found:
+                raise ValueError("successor %r of %r listed twice" % (gamma, shape))
+            found[gamma] = None
+    return found
+
+
+def _step_rows(system: LocalSystem, m: int, succ: Succ, weight: Weight) -> dict:
+    """The one-step matrix {shape: {gamma: weight(shape, gamma)}} over R(m)."""
+    shapes = system.shapes(m)
+    return {s: {g: weight(s, g) for g in _successors(s, succ)} for s in shapes}
+
+
+def _cross(left: dict, right: dict) -> dict:
+    """The sparse product left * right^T of two sets of dict rows:
+    {lam: {mu: sum over shared keys k of left[lam][k] * right[mu][k]}}.
+    A pair (lam, mu) that shares no key is absent, a zero entry."""
+    by_key: dict = {}
+    for mu, row in right.items():
+        for k, value in row.items():
+            by_key.setdefault(k, []).append((mu, value))
+    product = {}
+    for lam, row in left.items():
+        sums = product[lam] = {}
+        for k, value in row.items():
+            for mu, other in by_key.get(k, ()):
+                sums[mu] = sums.get(mu, 0) + value * other
+    return product
+
+
+def _recursion(system: LocalSystem, n: int, succ: Succ, weight: Weight) -> tuple:
     """Rows R(n), columns C(n) and entries of M_n, built up from M_0 = [1] by
 
-        M_m(s, beta) = sum over g in succ(s, L) of weight(s, g) * M_{m-L}(g, beta*)
+        M_m(s, beta + (L,)) = sum over g in succ(s, L) of weight(s, g) M_{m-L}(g, beta)
 
-    where (beta*, L) = truncate(beta).  Every level is kept as raw rows (an
-    empty sum stays the int 0), so that the caller wraps the top level once.
+    on sparse rows {shape: {beta: entry}}; the top level is densified once.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rows = system.shapes(0)
-    if len(rows) != 1:
+    base = system.shapes(0)
+    if len(base) != 1:
         raise ValueError("R(0) must contain exactly one shape")
-    cols, entries = [()], [[Fraction(1)]]
-    levels = []  # (entries, row index, column index) of M_0 .. M_{m-1}
+    levels = [{base[0]: {(): 1}}]
     for m in range(1, n + 1):
-        row_at = {shape: i for i, shape in enumerate(rows)}
-        col_at = {beta: j for j, beta in enumerate(cols)}
-        levels.append((entries, row_at, col_at))
-        rows, cols = system.shapes(m), compositions(m)
-        entries = []
-        for shape in rows:
-            row = []
-            for beta in cols:
-                beta_star, last = truncate(beta)
-                prev, prev_row, prev_col = levels[m - last]
-                j = prev_col[beta_star]
-                total = 0
-                for gamma in succ(shape, last):
-                    total += weight(shape, gamma) * prev[prev_row[gamma]][j]
-                row.append(total)
-            entries.append(row)
-    return rows, cols, entries
+        level = {}
+        for shape, step in _step_rows(system, m, succ, weight).items():
+            row = level[shape] = {}
+            for gamma, w in step.items():
+                size = sum(gamma)
+                last = (m - size,)
+                for beta, value in levels[size][gamma].items():
+                    key = beta + last
+                    row[key] = row.get(key, 0) + w * value
+        levels.append(level)
+    top, cols = levels[n], compositions(n)
+    return list(top), cols, [[row.get(b, 0) for b in cols] for row in top.values()]
 
 
 def build_A(system: LocalSystem, n: int) -> IndexedMatrix:
@@ -223,32 +227,25 @@ def build_B(system: LocalSystem, n: int) -> IndexedMatrix:
     """C(n) x R(n) matrix: the transpose of the recursion with the B-side
     successors and weights."""
     rows, cols, entries = _recursion(system, n, system.succ_b, system.weight_b)
-    return IndexedMatrix(
-        cols, rows, [[row[j] for row in entries] for j in range(len(cols))]
-    )
+    return IndexedMatrix(cols, rows, [list(column) for column in zip(*entries)])
 
 
 def local_terms(
     system: LocalSystem, lam: Shape, mu: Shape
 ) -> list[tuple[Shape, Fraction]]:
     """The shared one-step successors gamma of lam (A side) and mu (B side),
-    each with its term weight_a(lam, gamma) * weight_b(mu, gamma).
-
-    Ordered by the removed size L, then by gamma descending.
-    """
+    each with its term weight_a(lam, gamma) * weight_b(mu, gamma), ordered by
+    the removed size L, then by gamma descending."""
     n = sum(lam)
     if n != sum(mu) or n == 0:
         raise ValueError("shapes must have equal positive size")
     if system.shapes is partitions:
         require_partition(lam, mu)
-    terms = []
-    for length in range(1, n + 1):
-        shared = set(system.succ_a(lam, length)) & set(system.succ_b(mu, length))
-        if shared:  # most lengths share nothing, and verify_local asks every pair
-            for gamma in sorted(shared, reverse=True):
-                term = system.weight_a(lam, gamma) * system.weight_b(mu, gamma)
-                terms.append((gamma, term))
-    return terms
+    shared = _successors(lam, system.succ_a).keys() & _successors(mu, system.succ_b)
+    return [
+        (gamma, system.weight_a(lam, gamma) * system.weight_b(mu, gamma))
+        for gamma in sorted(shared, key=lambda g: (sum(g), g), reverse=True)
+    ]
 
 
 def local_lhs(system: LocalSystem, lam: Shape, mu: Shape) -> Fraction:
@@ -269,21 +266,19 @@ class LocalReport:
 
 
 def verify_local(system: LocalSystem, n: int) -> LocalReport:
-    """Check the single-step cancellation identity for every shape pair.
+    """Check the single-step cancellation identity for every shape pair: the
+    local sums are the product D_A * D_B^T of the level-n step rows.
 
-    All failing (lam, mu, value) triples are collected rather than failing
-    fast, so a broken system shows its full damage pattern.
+    All failing (lam, mu, value) triples are collected, in (lam, mu) order,
+    rather than failing fast, so a broken system shows its full damage pattern.
     """
     if n < 1:
         raise ValueError("n must be positive")
     shapes = system.shapes(n)
-    failures = []
-    for lam in shapes:
-        for mu in shapes:
-            value = local_lhs(system, lam, mu)
-            expected = 1 if lam == mu else 0
-            if value != expected:
-                failures.append((lam, mu, value))
+    step_a = _step_rows(system, n, system.succ_a, system.weight_a)
+    sums = _cross(step_a, _step_rows(system, n, system.succ_b, system.weight_b))
+    values = ((lam, mu, sums[lam].get(mu, 0)) for lam in shapes for mu in shapes)
+    failures = [(lam, mu, v) for lam, mu, v in values if v != int(lam == mu)]
     return LocalReport(system.name, n, len(shapes) ** 2, failures)
 
 

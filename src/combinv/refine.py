@@ -252,7 +252,7 @@ def psi_to_h_matrix(n: int) -> IndexedMatrix:
     return _refinement_matrix(
         n,
         lambda mu, beta: (
-            (-1) ** (len(mu) - len(beta)) * weighted_factors(mu, beta)[1]
+            (-1) ** (len(beta) - len(mu)) * weighted_factors(mu, beta)[1]
             if refines(beta, mu)
             else 0
         ),

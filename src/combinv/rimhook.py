@@ -338,6 +338,8 @@ class Permutation:
     @classmethod
     def from_json(cls, data: dict) -> "Permutation":
         cycles, ground = [tuple(c) for c in data["cycles"]], tuple(data["ground"])
+        if len(set(ground)) != len(ground):
+            raise ValueError("duplicate ground element")
         if not set(ground).issuperset(x for c in cycles for x in c):
             raise ValueError("cycle element outside the ground set")
         return cls.from_cycles(cycles, ground)

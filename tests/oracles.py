@@ -1,5 +1,5 @@
-"""Cell-set oracles for the shape-level removal steps, and a brute-force
-filling generator, shared across test modules.
+"""Cell-set oracles for the shape-level removal steps, a brute-force
+filling generator and a dense matrix product, shared across test modules.
 
 The library works on shapes only: a horizontal strip, rim hook or special
 rim hook is fixed by the two shapes gamma inside lam on either side of it.
@@ -7,6 +7,7 @@ These predicates check the same structures directly on the cell set
 dg(lam) - dg(gamma), so the tests can compare the two descriptions.
 """
 
+from fractions import Fraction
 from itertools import product
 
 from combinv.core import Filling, partitions
@@ -83,3 +84,16 @@ def all_fillings(n):
                 rows.append(labels[pos : pos + part])
                 pos += part
             yield lam, Filling(tuple(rows))
+
+
+def dense_product(left, right):
+    """The entries of left * right for two IndexedMatrix grids, by the
+    textbook triple loop over every inner index."""
+    inner = range(len(left.col_keys))
+    return [
+        [
+            sum((row[k] * right.entries[k][j] for k in inner), Fraction(0))
+            for j in range(len(right.col_keys))
+        ]
+        for row in left.entries
+    ]

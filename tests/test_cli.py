@@ -1,5 +1,7 @@
 import io
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -87,6 +89,34 @@ class TestMatrixCommand:
         assert first == second
 
 
+# stdout of `combinv verify` on systems with a perturbed B-side weight:
+# (app, n, new weight from (mu, old weight), stdout)
+PERTURBED_VERIFY_GOLDENS = [
+    (
+        "kostka", 4, lambda mu, w: abs(w),
+        "inversion n=4: FAIL\n"
+        "local identities n=4: FAIL (25 pairs)\n"
+        "  violation at (4,), (3, 1): 2\n"
+        "  violation at (4,), (2, 2): 2\n"
+        "  violation at (4,), (2, 1, 1): 2\n"
+        "  violation at (4,), (1, 1, 1, 1): 2\n"
+        "  violation at (3, 1), (2, 2): 2\n"
+        "  violation at (3, 1), (2, 1, 1): 2\n"
+        "  violation at (3, 1), (1, 1, 1, 1): 2\n"
+        "  violation at (2, 2), (2, 1, 1): 2\n"
+        "  violation at (2, 1, 1), (1, 1, 1, 1): 2\n",
+    ),
+    (
+        "rimhook", 4, lambda mu, w: w + Fraction(1, 3) if mu == (2, 1, 1) else w,
+        "inversion n=4: FAIL\n"
+        "local identities n=4: FAIL (25 pairs)\n"
+        "  violation at (4,), (2, 1, 1): 2/3\n"
+        "  violation at (2, 2), (2, 1, 1): 2/3\n"
+        "  violation at (2, 1, 1), (2, 1, 1): 5/3\n",
+    ),
+]
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize(
         "app", ["kostka", "rimhook", "refine", "refine-weighted", "brick"]
@@ -99,6 +129,40 @@ class TestVerifyCommand:
     def test_weighted_n5(self):
         code, _ = run_cli("verify", "--app", "refine-weighted", "--n", "5")
         assert code == 0
+
+    @pytest.mark.parametrize("app, n, change, golden", PERTURBED_VERIFY_GOLDENS)
+    def test_perturbed_system_golden(self, monkeypatch, app, n, change, golden):
+        factory = cli._SYSTEMS[app]
+
+        def perturbed():
+            system = factory()
+            weight_b = system.weight_b
+            return replace(system, weight_b=lambda mu, d: change(mu, weight_b(mu, d)))
+
+        monkeypatch.setitem(cli._SYSTEMS, app, perturbed)
+        assert run_cli("verify", "--app", app, "--n", str(n)) == (1, golden)
+
+    @pytest.mark.parametrize("command", ["verify", "matrix"])
+    @pytest.mark.parametrize("n", [30, cli.MAX_N + 1])
+    def test_size_limit(self, monkeypatch, capsys, command, n):
+        def unbuilt():
+            raise AssertionError("no system may be built above the size limit")
+
+        for app in list(cli._SYSTEMS):
+            monkeypatch.setitem(cli._SYSTEMS, app, unbuilt)
+        assert run_cli(command, "--app", "kostka", "--n", str(n)) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: n=%d is above the limit n <= %d\n" % (n, cli.MAX_N)
+        )
+
+    @pytest.mark.parametrize("command", ["verify", "matrix"])
+    def test_size_limit_admits_max_n(self, monkeypatch, command):
+        # the system factory runs, so the limit let n = MAX_N through
+        def sentinel():
+            raise AssertionError("built")
+
+        monkeypatch.setitem(cli._SYSTEMS, "kostka", sentinel)
+        assert run_cli(command, "--app", "kostka", "--n", str(cli.MAX_N)) == (4, "")
 
 
 # stdout of `combinv local`, one off-diagonal pair per app plus one diagonal
@@ -286,6 +350,18 @@ class TestInvoluteCommand:
         code, text = run_cli("involute", "--app", "rimhook", "--input", str(path))
         assert (code, text) == (3, "")
         assert capsys.readouterr().err.startswith("input error: ")
+
+    def test_duplicate_ground_element(self, tmp_path, capsys):
+        payload = {
+            "S": {"rows": [[1, 2]]},
+            "T": {"rows": [[1], [2]]},
+            "sigma": {"ground": [1, 2, 2], "cycles": [[2]]},
+        }
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps(payload))
+        code, text = run_cli("involute", "--app", "rimhook", "--input", str(path))
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err == "input error: duplicate ground element\n"
 
     def test_type_error_inside_involution_propagates(self, tmp_path, monkeypatch):
         from combinv import involutions

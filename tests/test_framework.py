@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import goldens
+from combinv import framework
 from combinv.core import compositions, partitions
 from combinv.framework import (
     IndexedMatrix,
@@ -23,6 +24,7 @@ from combinv.kostka import kostka_system
 from combinv.refine import refine_system, weighted_system
 from combinv.rimhook import rimhook_system
 from combinv.brick import obt_system
+from oracles import dense_product
 
 ALL_SYSTEMS = [kostka_system, rimhook_system, refine_system, weighted_system, obt_system]
 
@@ -34,13 +36,38 @@ class TestIndexedMatrix:
         assert m.entry((1, 1, 1, 1), (4,)) == 0
         assert m == goldens.KOSTKA_A4
 
-    def test_identity(self):
-        keys = partitions(4)
-        assert IndexedMatrix.identity(keys).is_identity()
-
     def test_matmul_shape_check(self):
         with pytest.raises(ValueError):
             goldens.KOSTKA_A4.matmul(goldens.KOSTKA_A4)
+
+    def test_matmul_needs_equal_inner_keys(self):
+        # same inner size, but the keys are listed in another order
+        left = IndexedMatrix([(1,)], [(2,), (1, 1)], [[Fraction(1), Fraction(2)]])
+        right = IndexedMatrix([(1, 1), (2,)], [(3,)], [[Fraction(1)], [Fraction(1)]])
+        with pytest.raises(ValueError, match="inner key lists disagree"):
+            left.matmul(right)
+
+    @pytest.mark.parametrize(
+        "rows, inner, cols", [(3, 4, 2), (2, 5, 6), (4, 1, 3), (2, 0, 3)]
+    )
+    def test_matmul_matches_dense_product(self, rows, inner, cols):
+        # non-square Fraction grids, each with a zero row and a zero column
+        def grid(height, width, seed):
+            def cell(i, j):
+                if i == 1 or j == width - 1 or (i * width + j + seed) % 3 == 0:
+                    return Fraction(0)
+                return Fraction((i + 2 * j + seed) % 7 - 3, 1 + (i * j + seed) % 4)
+
+            return [[cell(i, j) for j in range(width)] for i in range(height)]
+
+        keys = [(k + 1,) for k in range(max(rows, inner, cols))]
+        left = IndexedMatrix(keys[:rows], keys[:inner], grid(rows, inner, 1))
+        right = IndexedMatrix(keys[:inner], keys[:cols], grid(inner, cols, 2))
+        product = left.matmul(right)
+        assert product.row_keys == keys[:rows]
+        assert product.col_keys == keys[:cols]
+        assert product.entries == dense_product(left, right)
+        assert any(e for row in product.entries for e in row) == (inner > 1)
 
     def test_json_round_trip(self):
         m = goldens.RIMHOOK_B4
@@ -128,6 +155,78 @@ class TestInversionAndLocal:
         assert not report.passed
         assert any(lam != mu for lam, mu, _ in report.failures)
         assert not verify_inversion(system, 3)
+
+
+def _shifted_b(system):
+    """The system with 1/3 added to every B-side weight at a two-part shape."""
+    weight_b = system.weight_b
+
+    def shifted(mu, delta):
+        return weight_b(mu, delta) + (Fraction(1, 3) if len(mu) == 2 else 0)
+
+    return replace(system, weight_b=shifted)
+
+
+class TestLocalProduct:
+    @pytest.mark.parametrize("make", ALL_SYSTEMS)
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_failures_match_pairwise_local_lhs(self, make, perturb):
+        system = _shifted_b(make()) if perturb else make()
+        for n in range(1, 7):
+            shapes = system.shapes(n)
+            expected = []
+            for lam in shapes:
+                for mu in shapes:
+                    value = local_lhs(system, lam, mu)
+                    if value != (1 if lam == mu else 0):
+                        expected.append((lam, mu, value))
+            report = verify_local(system, n)
+            assert report.failures == expected
+            assert report.pairs_checked == len(shapes) ** 2
+            assert bool(expected) == (perturb and n > 1)
+
+    @pytest.mark.parametrize("make", ALL_SYSTEMS)
+    def test_successor_calls_are_linear_in_shapes(self, make, monkeypatch):
+        # one call per (shape, L) on each side, not one per (lam, mu, L)
+        system = make()
+        calls = []
+
+        def counted(succ):
+            def wrapper(shape, length):
+                calls.append((shape, length))
+                return succ(shape, length)
+
+            return wrapper
+
+        def unused(*args):
+            raise AssertionError("verify_local must not evaluate pairs one by one")
+
+        monkeypatch.setattr(framework, "local_terms", unused)
+        monkeypatch.setattr(framework, "local_lhs", unused)
+        counting = replace(
+            system, succ_a=counted(system.succ_a), succ_b=counted(system.succ_b)
+        )
+        n = 5
+        assert verify_local(counting, n).passed
+        assert len(calls) <= 2 * n * len(system.shapes(n))
+
+    def test_duplicate_successor_is_rejected(self):
+        system = kostka_system()
+        succ_b = system.succ_b
+
+        def doubled(mu, length):
+            found = succ_b(mu, length)
+            return found + found[:1] if mu == (2, 1) else found
+
+        broken = replace(system, succ_b=doubled)
+        message = r"successor \(2,\) of \(2, 1\) listed twice"
+        assert succ_b((2, 1), 1) == [(2,)]
+        with pytest.raises(ValueError, match=message):
+            build_B(broken, 3)
+        with pytest.raises(ValueError, match=message):
+            verify_local(broken, 3)
+        with pytest.raises(ValueError, match=message):
+            local_terms(broken, (3,), (2, 1))
 
 
 class TestSortingAndSquares:
