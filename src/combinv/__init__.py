@@ -14,7 +14,6 @@ from .core import (
     partial_sum_product,
     partitions,
     sort_comp,
-    truncate,
 )
 from .framework import (
     IndexedMatrix,

@@ -181,7 +181,7 @@ def obt_system() -> LocalSystem:
         removed = multiset_diff(lam, gamma)
         if len(removed) != 1:
             raise ValueError("successor does not decrement a single part")
-        return Fraction(multiplicity(lam, removed[0]))
+        return multiplicity(lam, removed[0])
 
     def weight_b(mu, delta):
         eps = multiset_diff(mu, delta)
@@ -320,7 +320,7 @@ def marked_brick_bijection_inv(
 
 def brick_local_g(
     lam: Partition, mu: Partition
-) -> tuple[list[tuple[Partition, Fraction]], Fraction]:
+) -> tuple[list[tuple[Partition, Fraction]], int | Fraction]:
     """Shared intermediates with their terms, and the total.
 
     Off the diagonal, the multiset difference lam minus mu must be a single
@@ -347,7 +347,7 @@ def brick_local_g(
         return terms, sum(t for _, t in terms)
     extra = multiset_diff(lam, mu)
     if len(extra) != 1:
-        return [], Fraction(0)
+        return [], 0
     i = extra[0]
     rho = multiset_diff(mu, lam)
     meet = multiset_intersect(lam, mu)

@@ -69,17 +69,13 @@ def _emit_matrix(matrix: IndexedMatrix, fmt: str, out) -> None:
 
 def _cmd_matrix(args, out) -> int:
     system = _SYSTEMS[args.app]()
-    if args.side == "A":
-        matrix = build_A(system, args.n)
-    elif args.side == "B":
-        matrix = build_B(system, args.n)
-    elif args.side == "Asq":
-        matrix = square_restrict_A(build_A(system, args.n))
-    elif args.side == "Bsq":
-        matrix = square_fold_B(build_B(system, args.n))
-    else:
-        raise UsageError("unknown side %r" % args.side)
-    _emit_matrix(matrix, args.format, out)
+    build = {
+        "A": lambda: build_A(system, args.n),
+        "B": lambda: build_B(system, args.n),
+        "Asq": lambda: square_restrict_A(build_A(system, args.n)),
+        "Bsq": lambda: square_fold_B(build_B(system, args.n)),
+    }[args.side]
+    _emit_matrix(build(), args.format, out)
     return 0
 
 
@@ -162,12 +158,8 @@ def _cmd_enumerate(args, out) -> int:
 def _cmd_pair(args, out) -> int:
     lam = parse_shape(args.lam)
     mu = parse_shape(args.mu)
-    if args.app == "kostka":
-        pairing = kostka.kostka_pair(lam, mu)
-    elif args.app == "rimhook":
-        pairing = rimhook.rimhook_pair(lam, mu)
-    else:
-        raise UsageError("pair supports kostka and rimhook")
+    pair = {"kostka": kostka.kostka_pair, "rimhook": rimhook.rimhook_pair}[args.app]
+    pairing = pair(lam, mu)
     json.dump(
         {
             "kind": pairing.kind,

@@ -1,11 +1,11 @@
 """Partitions, compositions, removal steps on shapes, fillings, shape chains,
 and shared scalar invariants.
 
-Shapes are plain tuples of positive integers; all arithmetic is exact
-(Python ints and fractions.Fraction).  A tableau built one incremental
-structure at a time is its chain of label-prefix shapes () = g0, g1, ..., g_m:
-the bijection layer works on these chains and converts to a Filling only at
-its public surface.  A strip or hook is the pair of shapes gamma inside lam
+Shapes are plain tuples of positive integers; all arithmetic is exact:
+Python ints, and fractions.Fraction only where a value divides.  A tableau
+built one incremental structure at a time is its chain of label-prefix shapes
+() = g0, g1, ..., g_m: the bijection layer works on these chains and converts
+to a Filling only at its public surface.  A strip or hook is the pair of shapes gamma inside lam
 around it, never a cell set; `border_hook` is the one hook computation.
 Every function here is pure, so the whole module is safe for concurrent use.
 """
@@ -81,13 +81,6 @@ def sort_comp(alpha: Composition) -> Partition:
     return tuple(sorted(alpha, reverse=True))
 
 
-def truncate(beta: Composition) -> tuple[Composition, int]:
-    """Split off the last part: (2,3,2) -> ((2,3), 2)."""
-    if not beta:
-        raise ValueError("empty composition has no last part")
-    return beta[:-1], beta[-1]
-
-
 # ---------------------------------------------------------------------------
 # Scalar invariants
 # ---------------------------------------------------------------------------
@@ -159,12 +152,6 @@ def multiset_intersect(lam: Partition, mu: Partition) -> Partition:
 def multiset_diff(lam: Partition, mu: Partition) -> Partition:
     """Multiset difference; multiplicities clamp at zero."""
     return _from_counter(Counter(lam) - Counter(mu))
-
-
-def multiset_contains(lam: Partition, mu: Partition) -> bool:
-    """True when every part of lam occurs in mu at least as often."""
-    counts = Counter(mu)
-    return all(counts[v] >= m for v, m in Counter(lam).items())
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +325,7 @@ def is_chain_tableau(
 # JSON helpers for scalars and shapes
 # ---------------------------------------------------------------------------
 
-def rational_to_json(q: Fraction) -> list[int]:
+def rational_to_json(q: int | Fraction) -> list[int]:
     return [q.numerator, q.denominator]
 
 
@@ -349,6 +336,6 @@ def rational_from_json(pair) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q: int | Fraction) -> str:
     """p/q with the denominator omitted when it is 1."""
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)

@@ -2,9 +2,10 @@
 
 A `LocalSystem` packages the data each application supplies: the shape sets
 R(n), the one-step successor sets for both matrix families, and the two
-weight functions.  Two primitives on sparse dict rows carry the rest: the
-one-step matrix `_step_rows` (D(shape, gamma) = weight over R(m)) and the one
-product `_cross` (X * Y^T).  One recursion sweeps the step rows up from level
+weight functions.  A weight is exact: an int, or a Fraction where it divides.
+Two primitives on sparse dict rows carry the rest: the one-step matrix
+`_step_rows` (D(shape, gamma) = weight over R(m)) and the one product
+`_cross` (X * Y^T).  One recursion sweeps the step rows up from level
 0 behind `build_A` and `build_B`.  A_n * B_n = I is checked globally
 (`verify_inversion`, through `IndexedMatrix.matmul`) or one shape pair at a
 time (`verify_local`, the product D_A * D_B^T of the level-n step rows).
@@ -30,7 +31,7 @@ from .core import (
 
 Shape = tuple[int, ...]
 Succ = Callable[[Shape, int], list[Shape]]
-Weight = Callable[[Shape, Shape], Fraction]
+Weight = Callable[[Shape, Shape], int | Fraction]
 
 
 class IndexedMatrix:
@@ -51,7 +52,7 @@ class IndexedMatrix:
         ):
             raise ValueError("duplicate keys")
 
-    def entry(self, row_key: Shape, col_key: Shape) -> Fraction:
+    def entry(self, row_key: Shape, col_key: Shape) -> int | Fraction:
         return self.entries[self._row_index[tuple(row_key)]][
             self._col_index[tuple(col_key)]
         ]
@@ -159,18 +160,31 @@ def _successors(shape: Shape, succ: Succ) -> dict:
     """The one-step successors of shape as an ordered set (a dict of None),
     by removed size L ascending, each successor list asked for once."""
     found: dict = {}
-    for length in range(1, sum(shape) + 1):
+    size = sum(shape)
+    for length in range(1, size + 1):
         for gamma in succ(shape, length):
             if gamma in found:
                 raise ValueError("successor %r of %r listed twice" % (gamma, shape))
+            if sum(gamma) != size - length:
+                fmt = "successor %r of %r has size %d, not %d"
+                raise ValueError(fmt % (gamma, shape, sum(gamma), size - length))
             found[gamma] = None
     return found
+
+
+def _weigh(weight: Weight, shape: Shape, gamma: Shape) -> int | Fraction:
+    """weight(shape, gamma), which must be exact: an int or a Fraction."""
+    value = weight(shape, gamma)
+    if type(value) not in (int, Fraction):
+        fmt = "weight at %r, %r is %r, not an int or Fraction"
+        raise TypeError(fmt % (shape, gamma, value))
+    return value
 
 
 def _step_rows(system: LocalSystem, m: int, succ: Succ, weight: Weight) -> dict:
     """The one-step matrix {shape: {gamma: weight(shape, gamma)}} over R(m)."""
     shapes = system.shapes(m)
-    return {s: {g: weight(s, g) for g in _successors(s, succ)} for s in shapes}
+    return {s: {g: _weigh(weight, s, g) for g in _successors(s, succ)} for s in shapes}
 
 
 def _cross(left: dict, right: dict) -> dict:
@@ -232,7 +246,7 @@ def build_B(system: LocalSystem, n: int) -> IndexedMatrix:
 
 def local_terms(
     system: LocalSystem, lam: Shape, mu: Shape
-) -> list[tuple[Shape, Fraction]]:
+) -> list[tuple[Shape, int | Fraction]]:
     """The shared one-step successors gamma of lam (A side) and mu (B side),
     each with its term weight_a(lam, gamma) * weight_b(mu, gamma), ordered by
     the removed size L, then by gamma descending."""
@@ -243,14 +257,14 @@ def local_terms(
         require_partition(lam, mu)
     shared = _successors(lam, system.succ_a).keys() & _successors(mu, system.succ_b)
     return [
-        (gamma, system.weight_a(lam, gamma) * system.weight_b(mu, gamma))
-        for gamma in sorted(shared, key=lambda g: (sum(g), g), reverse=True)
+        (g, _weigh(system.weight_a, lam, g) * _weigh(system.weight_b, mu, g))
+        for g in sorted(shared, key=lambda g: (sum(g), g), reverse=True)
     ]
 
 
-def local_lhs(system: LocalSystem, lam: Shape, mu: Shape) -> Fraction:
+def local_lhs(system: LocalSystem, lam: Shape, mu: Shape) -> int | Fraction:
     """Sum of weight_a * weight_b over shared one-step successors of lam, mu."""
-    return sum([term for _, term in local_terms(system, lam, mu)], Fraction(0))
+    return sum(term for _, term in local_terms(system, lam, mu))
 
 
 @dataclass
@@ -258,7 +272,7 @@ class LocalReport:
     system: str
     n: int
     pairs_checked: int
-    failures: list[tuple[Shape, Shape, Fraction]]
+    failures: list[tuple[Shape, Shape, int | Fraction]]
 
     @property
     def passed(self) -> bool:
@@ -271,14 +285,21 @@ def verify_local(system: LocalSystem, n: int) -> LocalReport:
 
     All failing (lam, mu, value) triples are collected, in (lam, mu) order,
     rather than failing fast, so a broken system shows its full damage pattern.
+    Only the stored entries of the product and the diagonal can fail.
     """
     if n < 1:
         raise ValueError("n must be positive")
     shapes = system.shapes(n)
     step_a = _step_rows(system, n, system.succ_a, system.weight_a)
     sums = _cross(step_a, _step_rows(system, n, system.succ_b, system.weight_b))
-    values = ((lam, mu, sums[lam].get(mu, 0)) for lam in shapes for mu in shapes)
-    failures = [(lam, mu, v) for lam, mu, v in values if v != int(lam == mu)]
+    failures = [
+        (lam, mu, v)
+        for lam, row in sums.items()
+        for mu, v in {lam: 0, **row}.items()
+        if v != int(lam == mu)
+    ]
+    order = {shape: i for i, shape in enumerate(shapes)}
+    failures.sort(key=lambda f: (order[f[0]], order[f[1]]))
     return LocalReport(system.name, n, len(shapes) ** 2, failures)
 
 
@@ -322,7 +343,7 @@ def square_fold_B(matrix: IndexedMatrix) -> IndexedMatrix:
     n = sum(matrix.row_keys[0]) if matrix.row_keys else 0
     parts = partitions(n)
     index = {k: i for i, k in enumerate(parts)}
-    entries = [[Fraction(0)] * len(matrix.col_keys) for _ in parts]
+    entries = [[0] * len(matrix.col_keys) for _ in parts]
     for key, row in zip(matrix.row_keys, matrix.entries):
         target = entries[index[sort_comp(key)]]
         for j, e in enumerate(row):

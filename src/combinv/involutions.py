@@ -12,7 +12,6 @@ that the diagonal fixed-point count is exactly n! per shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import permutations as _itertools_permutations
 from math import factorial
@@ -342,7 +341,7 @@ class PairingReport:
     mu: Partition
     size: int
     fixed_points: int
-    signed_total: Fraction
+    signed_total: int
     involution_ok: bool
     sign_reversal_ok: bool
     shape_preserved_ok: bool
@@ -406,7 +405,7 @@ def verify_pairing(app: str, lam: Partition, mu: Partition) -> PairingReport:
         raise ValueError("unknown application %r" % app)
     shapes = lambda obj: (obj._chains[0][-1], obj._chains[1][-1])
     fixed = 0
-    signed_total = Fraction(0)
+    signed_total = 0
     involution_ok = True
     sign_ok = True
     shape_ok = True

@@ -8,7 +8,6 @@ removal is the shape it leaves; a special rim hook is a column-1 border hook.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 
 from .core import (
@@ -150,8 +149,8 @@ def kostka_system() -> LocalSystem:
         shapes=partitions,
         succ_a=strip_removals,
         succ_b=succ_b,
-        weight_a=lambda lam, gamma: Fraction(1),
-        weight_b=lambda mu, delta: Fraction(skew_sign(mu, delta)),
+        weight_a=lambda lam, gamma: 1,
+        weight_b=skew_sign,
     )
 
 

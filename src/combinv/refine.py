@@ -148,8 +148,8 @@ def refine_system() -> LocalSystem:
         shapes=compositions,
         succ_a=_suffix_prefix,
         succ_b=_last_part_shrink,
-        weight_a=lambda lam, gamma: Fraction(1),
-        weight_b=lambda mu, delta: Fraction(_shrink_sign(mu, delta)),
+        weight_a=lambda lam, gamma: 1,
+        weight_b=_shrink_sign,
     )
 
 
@@ -205,7 +205,7 @@ def weighted_system() -> LocalSystem:
         shapes=compositions,
         succ_a=_suffix_prefix,
         succ_b=_last_part_shrink,
-        weight_a=lambda lam, gamma: Fraction(lam[-1]),
+        weight_a=lambda lam, gamma: lam[-1],
         weight_b=lambda mu, delta: Fraction(_shrink_sign(mu, delta), mu[-1]),
     )
 

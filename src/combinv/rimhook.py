@@ -118,7 +118,7 @@ def rimhook_system() -> LocalSystem:
         shapes=partitions,
         succ_a=succ,
         succ_b=succ,
-        weight_a=lambda lam, gamma: Fraction(skew_sign(lam, gamma)),
+        weight_a=skew_sign,
         weight_b=lambda mu, delta: Fraction(skew_sign(mu, delta), sum(mu)),
     )
 

@@ -167,23 +167,41 @@ def _shifted_b(system):
     return replace(system, weight_b=shifted)
 
 
+def _pairwise_failures(system, n):
+    """verify_local's failures the slow way: local_lhs at every shape pair."""
+    shapes = system.shapes(n)
+    pairs = [(lam, mu, local_lhs(system, lam, mu)) for lam in shapes for mu in shapes]
+    return [(lam, mu, value) for lam, mu, value in pairs if value != int(lam == mu)]
+
+
 class TestLocalProduct:
     @pytest.mark.parametrize("make", ALL_SYSTEMS)
     @pytest.mark.parametrize("perturb", [False, True])
     def test_failures_match_pairwise_local_lhs(self, make, perturb):
         system = _shifted_b(make()) if perturb else make()
         for n in range(1, 7):
-            shapes = system.shapes(n)
-            expected = []
-            for lam in shapes:
-                for mu in shapes:
-                    value = local_lhs(system, lam, mu)
-                    if value != (1 if lam == mu else 0):
-                        expected.append((lam, mu, value))
+            expected = _pairwise_failures(system, n)
             report = verify_local(system, n)
             assert report.failures == expected
-            assert report.pairs_checked == len(shapes) ** 2
+            assert report.pairs_checked == len(system.shapes(n)) ** 2
             assert bool(expected) == (perturb and n > 1)
+
+    @pytest.mark.parametrize("make", ALL_SYSTEMS)
+    def test_failures_of_absolute_weights_are_in_shape_order(self, make):
+        # with |weight_b| no pair cancels, so nearly every stored entry fails;
+        # the product stores them out of order, and they are reported sorted
+        system = make()
+        weight_b = system.weight_b
+        broken = replace(system, weight_b=lambda mu, delta: abs(weight_b(mu, delta)))
+        for n in range(1, 7):
+            assert verify_local(broken, n).failures == _pairwise_failures(broken, n)
+
+    def test_unstored_diagonal_fails(self):
+        # with no B-side steps the product stores nothing: every diagonal
+        # entry is a zero that was never stored, and each must be reported
+        system = replace(kostka_system(), succ_b=lambda mu, length: [])
+        report = verify_local(system, 4)
+        assert report.failures == [(lam, lam, 0) for lam in partitions(4)]
 
     @pytest.mark.parametrize("make", ALL_SYSTEMS)
     def test_successor_calls_are_linear_in_shapes(self, make, monkeypatch):
@@ -227,6 +245,53 @@ class TestLocalProduct:
             verify_local(broken, 3)
         with pytest.raises(ValueError, match=message):
             local_terms(broken, (3,), (2, 1))
+
+    def test_successor_of_wrong_size_is_rejected(self):
+        # () under L=1 would be filed as a step of size 3 and build a
+        # different matrix; it is a bad callback, not a failed identity
+        system = kostka_system()
+        succ_a = system.succ_a
+
+        def oversized(lam, length):
+            found = succ_a(lam, length)
+            return found + [()] if (lam, length) == ((2, 1), 1) else found
+
+        broken = replace(system, succ_a=oversized)
+        message = r"successor \(\) of \(2, 1\) has size 0, not 2"
+        with pytest.raises(ValueError, match=message):
+            build_A(broken, 3)
+        with pytest.raises(ValueError, match=message):
+            verify_local(broken, 3)
+        with pytest.raises(ValueError, match=message):
+            local_terms(broken, (2, 1), (2, 1))
+
+
+class TestExactWeights:
+    @pytest.mark.parametrize("make", [kostka_system, refine_system])
+    def test_integral_systems_build_int_entries(self, make):
+        system = make()
+        for n in range(7):
+            for matrix in (build_A(system, n), build_B(system, n)):
+                assert all(type(e) is int for row in matrix.entries for e in row)
+
+    @pytest.mark.parametrize("make", [rimhook_system, obt_system, weighted_system])
+    def test_dividing_systems_build_int_a_entries(self, make):
+        system = make()
+        for n in range(7):
+            matrix = build_A(system, n)
+            assert all(type(e) is int for row in matrix.entries for e in row)
+
+    @pytest.mark.parametrize("value", [1.0, True])
+    @pytest.mark.parametrize("side", ["weight_a", "weight_b"])
+    def test_inexact_weight_is_rejected(self, side, value):
+        broken = replace(kostka_system(), **{side: lambda *_: value})
+        message = r"weight at \(1,\), \(\) is %r, not an int or Fraction" % value
+        with pytest.raises(TypeError, match=message):
+            verify_inversion(broken, 1)
+        with pytest.raises(TypeError, match=message):
+            verify_local(broken, 1)
+        with pytest.raises(TypeError, match=message):
+            local_terms(broken, (1,), (1,))
 
 
 class TestSortingAndSquares:
