@@ -27,6 +27,10 @@ from .framework import (
 # Above this n, `matrix` and `verify` are refused: some app's `verify` takes over 60 s.
 MAX_N = 12
 
+# Above this, `abacus` refuses --beads and --move positions: the bead word is
+# a list of that many bits.
+MAX_POSITION = 10_000
+
 _SYSTEMS = {
     "kostka": kostka.kostka_system,
     "rimhook": rimhook.rimhook_system,
@@ -206,6 +210,8 @@ def _cmd_abacus(args, out) -> int:
     lam = parse_shape(args.partition)
     if args.beads < len(lam):
         raise UsageError("need at least one bead per part")
+    if max([args.beads, *(args.move or ())]) > MAX_POSITION:
+        raise UsageError("--beads and --move are limited to %d" % MAX_POSITION)
     abacus = rimhook.abacus_from_partition(lam, args.beads)
     result = {"abacus": abacus.to_json(), "partition": list(lam)}
     if args.move:

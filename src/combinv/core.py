@@ -329,13 +329,6 @@ def rational_to_json(q: int | Fraction) -> list[int]:
     return [q.numerator, q.denominator]
 
 
-def rational_from_json(pair) -> Fraction:
-    num, den = pair
-    if den <= 0:
-        raise ValueError("denominator must be positive")
-    return Fraction(num, den)
-
-
 def format_rational(q: int | Fraction) -> str:
     """p/q with the denominator omitted when it is 1."""
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)

@@ -6,9 +6,12 @@ weight functions.  A weight is exact: an int, or a Fraction where it divides.
 Two primitives on sparse dict rows carry the rest: the one-step matrix
 `_step_rows` (D(shape, gamma) = weight over R(m)) and the one product
 `_cross` (X * Y^T).  One recursion sweeps the step rows up from level
-0 behind `build_A` and `build_B`.  A_n * B_n = I is checked globally
-(`verify_inversion`, through `IndexedMatrix.matmul`) or one shape pair at a
-time (`verify_local`, the product D_A * D_B^T of the level-n step rows).
+0 to the level-n sparse tables {shape: {beta: entry}}.  Both identities
+are `_cross` of two sparse tables, read by one reader for the stored entries
+and the diagonal: A_n * B_n = I globally (`verify_inversion`, the two
+level-n recursion tables) and one shape pair at a time (`verify_local`, the
+product D_A * D_B^T of the level-n step rows).  `IndexedMatrix` is only the
+dense output form that `build_A` and `build_B` fill from those tables.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .core import (
     format_rational,
     is_partition,
     partitions,
-    rational_from_json,
     rational_to_json,
     require_partition,
     sort_comp,
@@ -57,25 +59,6 @@ class IndexedMatrix:
             self._col_index[tuple(col_key)]
         ]
 
-    def matmul(self, other: "IndexedMatrix") -> "IndexedMatrix":
-        if self.col_keys != other.row_keys:
-            raise ValueError("inner key lists disagree")
-
-        def nonzero(rows):
-            return dict(enumerate({k: e for k, e in enumerate(r) if e} for r in rows))
-
-        product = _cross(nonzero(self.entries), nonzero(zip(*other.entries)))
-        width = range(len(other.col_keys))
-        entries = [[sums.get(j, 0) for j in width] for sums in product.values()]
-        return IndexedMatrix(self.row_keys, other.col_keys, entries)
-
-    def is_identity(self) -> bool:
-        return self.row_keys == self.col_keys and all(
-            e == int(i == j)
-            for i, row in enumerate(self.entries)
-            for j, e in enumerate(row)
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IndexedMatrix)
@@ -95,14 +78,6 @@ class IndexedMatrix:
             "cols": [list(k) for k in self.col_keys],
             "entries": [[rational_to_json(e) for e in row] for row in self.entries],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "IndexedMatrix":
-        return cls(
-            [tuple(k) for k in data["rows"]],
-            [tuple(k) for k in data["cols"]],
-            [[rational_from_json(e) for e in row] for row in data["entries"]],
-        )
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -204,12 +179,14 @@ def _cross(left: dict, right: dict) -> dict:
     return product
 
 
-def _recursion(system: LocalSystem, n: int, succ: Succ, weight: Weight) -> tuple:
-    """Rows R(n), columns C(n) and entries of M_n, built up from M_0 = [1] by
+def _recursion(system: LocalSystem, n: int, succ: Succ, weight: Weight) -> dict:
+    """The sparse table {shape: {beta: entry}} of M_n over R(n) x C(n), built
+    up from M_0 = [1] by
 
         M_m(s, beta + (L,)) = sum over g in succ(s, L) of weight(s, g) M_{m-L}(g, beta)
 
-    on sparse rows {shape: {beta: entry}}; the top level is densified once.
+    Every level keeps only its nonzero entries, so no product multiplies a
+    cancelled zero.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -220,28 +197,33 @@ def _recursion(system: LocalSystem, n: int, succ: Succ, weight: Weight) -> tuple
     for m in range(1, n + 1):
         level = {}
         for shape, step in _step_rows(system, m, succ, weight).items():
-            row = level[shape] = {}
+            row = {}
             for gamma, w in step.items():
                 size = sum(gamma)
                 last = (m - size,)
                 for beta, value in levels[size][gamma].items():
                     key = beta + last
                     row[key] = row.get(key, 0) + w * value
+            level[shape] = {beta: v for beta, v in row.items() if v}
         levels.append(level)
-    top, cols = levels[n], compositions(n)
-    return list(top), cols, [[row.get(b, 0) for b in cols] for row in top.values()]
+    return levels[n]
 
 
 def build_A(system: LocalSystem, n: int) -> IndexedMatrix:
     """R(n) x C(n) matrix of the recursion with the A-side successors and weights."""
-    return IndexedMatrix(*_recursion(system, n, system.succ_a, system.weight_a))
+    top = _recursion(system, n, system.succ_a, system.weight_a)
+    comps = compositions(n)
+    entries = [[row.get(b, 0) for b in comps] for row in top.values()]
+    return IndexedMatrix(list(top), comps, entries)
 
 
 def build_B(system: LocalSystem, n: int) -> IndexedMatrix:
     """C(n) x R(n) matrix: the transpose of the recursion with the B-side
     successors and weights."""
-    rows, cols, entries = _recursion(system, n, system.succ_b, system.weight_b)
-    return IndexedMatrix(cols, rows, [list(column) for column in zip(*entries)])
+    top = _recursion(system, n, system.succ_b, system.weight_b)
+    comps = compositions(n)
+    entries = [[row.get(b, 0) for row in top.values()] for b in comps]
+    return IndexedMatrix(comps, list(top), entries)
 
 
 def local_terms(
@@ -279,33 +261,42 @@ class LocalReport:
         return not self.failures
 
 
+def _off_identity(left: dict, right: dict) -> list[tuple[Shape, Shape, int | Fraction]]:
+    """The (lam, mu, value) where the product left * right^T of two sparse
+    tables over the same shapes differs from the identity, in the order of
+    left's rows.  Only the stored entries of the product and the diagonal
+    can differ."""
+    failures = [
+        (lam, mu, v)
+        for lam, row in _cross(left, right).items()
+        for mu, v in {lam: 0, **row}.items()
+        if v != int(lam == mu)
+    ]
+    order = {shape: i for i, shape in enumerate(left)}
+    failures.sort(key=lambda f: (order[f[0]], order[f[1]]))
+    return failures
+
+
 def verify_local(system: LocalSystem, n: int) -> LocalReport:
     """Check the single-step cancellation identity for every shape pair: the
     local sums are the product D_A * D_B^T of the level-n step rows.
 
     All failing (lam, mu, value) triples are collected, in (lam, mu) order,
     rather than failing fast, so a broken system shows its full damage pattern.
-    Only the stored entries of the product and the diagonal can fail.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    shapes = system.shapes(n)
     step_a = _step_rows(system, n, system.succ_a, system.weight_a)
-    sums = _cross(step_a, _step_rows(system, n, system.succ_b, system.weight_b))
-    failures = [
-        (lam, mu, v)
-        for lam, row in sums.items()
-        for mu, v in {lam: 0, **row}.items()
-        if v != int(lam == mu)
-    ]
-    order = {shape: i for i, shape in enumerate(shapes)}
-    failures.sort(key=lambda f: (order[f[0]], order[f[1]]))
-    return LocalReport(system.name, n, len(shapes) ** 2, failures)
+    step_b = _step_rows(system, n, system.succ_b, system.weight_b)
+    return LocalReport(system.name, n, len(step_a) ** 2, _off_identity(step_a, step_b))
 
 
 def verify_inversion(system: LocalSystem, n: int) -> bool:
-    """Exact check that A_n * B_n is the identity on R(n)."""
-    return build_A(system, n).matmul(build_B(system, n)).is_identity()
+    """Exact check that A_n * B_n is the identity on R(n): the product of the
+    level-n recursion tables, A(lam, beta) * B(beta, mu) summed over beta."""
+    table_a = _recursion(system, n, system.succ_a, system.weight_a)
+    table_b = _recursion(system, n, system.succ_b, system.weight_b)
+    return not _off_identity(table_a, table_b)
 
 
 def check_sorting_condition(matrix: IndexedMatrix) -> bool:

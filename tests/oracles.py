@@ -1,5 +1,6 @@
 """Cell-set oracles for the shape-level removal steps, a brute-force
-filling generator and a dense matrix product, shared across test modules.
+filling generator and a dense matrix product with its identity check,
+shared across test modules.
 
 The library works on shapes only: a horizontal strip, rim hook or special
 rim hook is fixed by the two shapes gamma inside lam on either side of it.
@@ -97,3 +98,13 @@ def dense_product(left, right):
         ]
         for row in left.entries
     ]
+
+
+def is_identity_product(left, right):
+    """True when left * right, by dense_product, is the identity grid.  The
+    inner key lists must agree, and the product must be square on left's
+    row keys."""
+    if left.col_keys != right.row_keys or left.row_keys != right.col_keys:
+        raise ValueError("key lists disagree")
+    size = range(len(left.row_keys))
+    return dense_product(left, right) == [[int(i == j) for j in size] for i in size]

@@ -61,6 +61,7 @@ from combinv.involutions import (
     rht_involution,
     verify_pairing,
 )
+from oracles import is_identity_product
 
 
 def report(number, text):
@@ -328,7 +329,7 @@ def test_criterion_10_square_conversions():
             assert check_sorting_condition(matrix_a)
             square_a = square_restrict_A(matrix_a)
             square_b = square_fold_B(build_B(system, n))
-            assert square_a.matmul(square_b).is_identity()
+            assert is_identity_product(square_a, square_b)
             if system.name == "rimhook":
                 for lam in partitions(n):
                     for mu in partitions(n):

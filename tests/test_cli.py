@@ -414,6 +414,28 @@ class TestAbacusCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["--beads", "10001"], ["--beads", "5", "--move", "4", "10001"]]
+    )
+    def test_size_limit(self, monkeypatch, capsys, argv):
+        # a bead word is a list of --beads bits, padded up to the --move target
+        def unbuilt(*args):
+            raise AssertionError("no bead word may be built above the size limit")
+
+        monkeypatch.setattr(cli.rimhook, "abacus_from_partition", unbuilt)
+        assert run_cli("abacus", "--partition", "2,1", *argv) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --beads and --move are limited to %d\n" % cli.MAX_POSITION
+        )
+        assert cli.MAX_POSITION == 10_000
+
+    def test_size_limit_admits_its_bound(self):
+        code, text = run_cli(
+            "abacus", "--partition", "2,1", "--beads", "10000", "--move", "9999", "10000"
+        )
+        assert code == 0
+        assert json.loads(text)["moved"]["partition"] == [2, 2]
+
 
 class TestUsage:
     def test_unknown_app(self):

@@ -22,6 +22,7 @@ from combinv.refine import (
     weighted_mobius_matrix,
     weighted_system,
 )
+from oracles import is_identity_product
 
 
 @st.composite
@@ -138,12 +139,12 @@ class TestMatrices:
 
     @pytest.mark.parametrize("n", range(8))
     def test_inversion(self, n):
-        assert incidence_matrix(n).matmul(mobius_matrix(n)).is_identity()
+        assert is_identity_product(incidence_matrix(n), mobius_matrix(n))
 
     @pytest.mark.parametrize("n", range(8))
     def test_self_inverse(self, n):
         twisted = self_inverse_matrix(n)
-        assert twisted.matmul(twisted).is_identity()
+        assert is_identity_product(twisted, twisted)
 
 
 class TestLocalG:
@@ -214,8 +215,8 @@ class TestWeighted:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sign_adjusted_pair_is_inverse(self, n):
-        assert psi_to_h_matrix(n).matmul(h_to_psi_matrix(n)).is_identity()
-        assert h_to_psi_matrix(n).matmul(psi_to_h_matrix(n)).is_identity()
+        assert is_identity_product(psi_to_h_matrix(n), h_to_psi_matrix(n))
+        assert is_identity_product(h_to_psi_matrix(n), psi_to_h_matrix(n))
 
     def test_sign_adjusted_entries_relate_to_weighted_pair(self):
         n = 5
