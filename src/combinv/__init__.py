@@ -5,13 +5,10 @@ from .core import (
     Filling,
     Partition,
     compositions,
-    centralizer_order,
     last_part_sum,
     multiplicity,
     multiset_diff,
-    multiset_intersect,
     multiset_union,
-    partial_sum_product,
     partitions,
     sort_comp,
 )
@@ -35,22 +32,14 @@ from .rimhook import (
     Permutation,
     abacus_from_partition,
     abacus_move_bead,
-    count_by_cyc_comp,
     cyc_comp,
     cyc_part,
     enumerate_rht,
     rimhook_pair,
     rimhook_system,
 )
-from .refine import (
-    cbt_find,
-    refine_system,
-    refines,
-    self_inverse_matrix,
-    weighted_factors,
-    weighted_system,
-)
-from .brick import brick_B_closed, brick_local_g, enumerate_obt, obt_system, w_of
+from .refine import cbt_find, refine_system, weighted_system
+from .brick import enumerate_obt, obt_system
 from .involutions import (
     KostkaPair,
     RhtTriple,

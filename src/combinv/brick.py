@@ -8,25 +8,21 @@ partial-sum product of the row profile.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 
 from .core import (
     Composition,
     Filling,
     Partition,
-    compositions,
     last_part_sum,
     multiset_diff,
-    multiset_intersect,
     multiset_union,
     multiplicity,
-    partial_sum_product,
     partitions,
     require_partition,
     sort_comp,
 )
-from .framework import IndexedMatrix, LocalSystem
+from .framework import LocalSystem
 
 
 # ---------------------------------------------------------------------------
@@ -77,64 +73,6 @@ def is_obt(filling: Filling, lam: Partition, beta: Composition) -> bool:
     return all(
         all(a <= b for a, b in zip(row, row[1:])) for row in filling.rows
     )
-
-
-# ---------------------------------------------------------------------------
-# Brick tabloids of composition shape and partition type
-# ---------------------------------------------------------------------------
-
-def _row_fillings(target: int, avail: Counter) -> list[Composition]:
-    """Ordered part sequences from `avail` summing to `target`, largest-first
-    recursively (canonical composition order)."""
-    if target == 0:
-        return [()]
-    out = []
-    for part in sorted(avail, reverse=True):
-        if part > target or avail[part] == 0:
-            continue
-        avail[part] -= 1
-        out.extend((part,) + rest for rest in _row_fillings(target - part, avail))
-        avail[part] += 1
-    return out
-
-
-def brick_tabloids(beta: Composition, mu: Partition) -> list[tuple[Composition, ...]]:
-    """Row tilings of dg(beta) by bricks forming the multiset mu.
-
-    Each tabloid is reported as its tuple of per-row compositions; the
-    concatenated contents run through the rearrangements of mu compatible
-    with the row lengths, in canonical composition order.
-    """
-    if sum(beta) != sum(mu):
-        raise ValueError("size mismatch")
-    out: list[tuple[Composition, ...]] = []
-
-    def rec(i: int, avail: Counter, acc: tuple[Composition, ...]):
-        if i == len(beta):
-            out.append(acc)
-            return
-        for row in _row_fillings(beta[i], avail):
-            for p in row:
-                avail[p] -= 1
-            rec(i + 1, avail, acc + (row,))
-            for p in row:
-                avail[p] += 1
-
-    rec(0, Counter(mu), ())
-    return out
-
-
-def tabloid_weight(rows: tuple[Composition, ...]) -> int:
-    """Product of the lengths of the last brick in each row."""
-    weight = 1
-    for row in rows:
-        weight *= row[-1]
-    return weight
-
-
-def w_of(beta: Composition, mu: Partition) -> int:
-    """Total last-brick weight over all brick tabloids of shape beta, type mu."""
-    return sum(tabloid_weight(rows) for rows in brick_tabloids(beta, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +134,6 @@ def obt_system() -> LocalSystem:
         weight_a=weight_a,
         weight_b=weight_b,
     )
-
-
-def brick_B_closed(n: int) -> IndexedMatrix:
-    """Closed-form B: entry (beta, mu) = (-1)^(len(mu)-len(beta)) w_{beta,mu} / Z_beta."""
-    rows = compositions(n)
-    cols = partitions(n)
-    entries = []
-    for beta in rows:
-        z = partial_sum_product(beta)
-        row = []
-        for mu in cols:
-            sign = -1 if (len(mu) - len(beta)) % 2 else 1
-            row.append(Fraction(sign * w_of(beta, mu), z))
-        entries.append(row)
-    return IndexedMatrix(rows, cols, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -312,48 +235,3 @@ def marked_brick_bijection_inv(
     swapped[marked_brick - 1], swapped[-1] = swapped[-1], swapped[marked_brick - 1]
     new_cell = sum(swapped[: marked_brick - 1]) + offset
     return tuple(swapped), new_cell
-
-
-# ---------------------------------------------------------------------------
-# Local evaluation
-# ---------------------------------------------------------------------------
-
-def brick_local_g(
-    lam: Partition, mu: Partition
-) -> tuple[list[tuple[Partition, Fraction]], int | Fraction]:
-    """Shared intermediates with their terms, and the total.
-
-    Off the diagonal, the multiset difference lam minus mu must be a single
-    part i; the intermediates are lam with that part removed entirely or
-    shrunk to any smaller part of mu minus lam, and their terms telescope
-    through the last-part-sum recursion to zero.
-    """
-    n = sum(lam)
-    if n != sum(mu) or n == 0:
-        raise ValueError("shapes must have equal positive size")
-    require_partition(lam, mu)
-
-    def term(gamma: Partition) -> Fraction:
-        removed = multiset_diff(lam, gamma)
-        eps = multiset_diff(mu, gamma)
-        sign = -1 if (len(mu) - len(gamma) - 1) % 2 else 1
-        return Fraction(
-            multiplicity(lam, removed[0]) * sign * last_part_sum(eps), n
-        )
-
-    if lam == mu:
-        gammas = [multiset_diff(lam, (i,)) for i in sorted(set(lam), reverse=True)]
-        terms = [(gamma, term(gamma)) for gamma in gammas]
-        return terms, sum(t for _, t in terms)
-    extra = multiset_diff(lam, mu)
-    if len(extra) != 1:
-        return [], 0
-    i = extra[0]
-    rho = multiset_diff(mu, lam)
-    meet = multiset_intersect(lam, mu)
-    gammas = [meet]
-    gammas.extend(
-        multiset_union(meet, (j,)) for j in sorted(set(rho), reverse=True) if j < i
-    )
-    terms = [(gamma, term(gamma)) for gamma in gammas]
-    return terms, sum(t for _, t in terms)

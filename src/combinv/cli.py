@@ -27,8 +27,8 @@ from .framework import (
 # Above this n, `matrix` and `verify` are refused: some app's `verify` takes over 60 s.
 MAX_N = 12
 
-# Above this, `abacus` refuses --beads and --move positions: the bead word is
-# a list of that many bits.
+# Above this, `abacus` refuses a --partition part, --beads or a --move position:
+# the bead word has one bit per bead and per unit of the largest part.
 MAX_POSITION = 10_000
 
 _SYSTEMS = {
@@ -210,8 +210,10 @@ def _cmd_abacus(args, out) -> int:
     lam = parse_shape(args.partition)
     if args.beads < len(lam):
         raise UsageError("need at least one bead per part")
-    if max([args.beads, *(args.move or ())]) > MAX_POSITION:
-        raise UsageError("--beads and --move are limited to %d" % MAX_POSITION)
+    if max([args.beads, *lam, *(args.move or ())]) > MAX_POSITION:
+        raise UsageError(
+            "--partition, --beads and --move are limited to %d" % MAX_POSITION
+        )
     abacus = rimhook.abacus_from_partition(lam, args.beads)
     result = {"abacus": abacus.to_json(), "partition": list(lam)}
     if args.move:

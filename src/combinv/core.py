@@ -1,5 +1,5 @@
 """Partitions, compositions, removal steps on shapes, fillings, shape chains,
-and shared scalar invariants.
+and last-part sums.
 
 Shapes are plain tuples of positive integers; all arithmetic is exact:
 Python ints, and fractions.Fraction only where a value divides.  A tableau
@@ -82,29 +82,8 @@ def sort_comp(alpha: Composition) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# Scalar invariants
+# Last-part sums
 # ---------------------------------------------------------------------------
-
-def partial_sum_product(beta: Composition) -> int:
-    """Product of the partial sums b1, b1+b2, ..., b1+...+bs (1 for ())."""
-    out, acc = 1, 0
-    for part in beta:
-        acc += part
-        out *= acc
-    return out
-
-
-def centralizer_order(lam: Partition) -> int:
-    """prod_k m_k! * k^m_k over the part multiplicities m_k of lam.
-
-    This is the number of permutations commuting with a fixed permutation of
-    cycle type lam; n!/centralizer_order(lam) is the conjugacy class size.
-    """
-    out = 1
-    for part, mult in Counter(lam).items():
-        out *= factorial(mult) * part**mult
-    return out
-
 
 def last_part_sum(mu: Partition) -> int:
     """Sum of the last part over all distinct rearrangements of mu.
@@ -143,10 +122,6 @@ def _from_counter(counts: Counter) -> Partition:
 
 def multiset_union(lam: Partition, mu: Partition) -> Partition:
     return _from_counter(Counter(lam) + Counter(mu))
-
-
-def multiset_intersect(lam: Partition, mu: Partition) -> Partition:
-    return _from_counter(Counter(lam) & Counter(mu))
 
 
 def multiset_diff(lam: Partition, mu: Partition) -> Partition:

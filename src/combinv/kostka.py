@@ -175,17 +175,15 @@ def kostka_pair(lam: Partition, mu: Partition) -> Pairing:
     if first is None:
         return Pairing("empty", ())
     i = first + 1  # 1-based row index of the hook
-    # is the rightmost cell (i, mu_i) of row i of mu also a cell of lam?
-    if i <= len(lam) and lam[i - 1] >= mu[i - 1]:
-        if i == len(mu):
-            raise AssertionError("unreachable: matched removal in the last row")
-        partner = i + 1
-    else:
-        if i == 1:
-            raise AssertionError("unreachable: unmatched removal in the first row")
-        partner = i - 1
+    # the partner is the hook of row i + 1 when the rightmost cell (i, mu_i)
+    # of row i of mu is in lam, else that of row i - 1; but a strip in row
+    # i - 1 would have come first, so the cell must be in lam
+    if i > len(lam) or lam[i - 1] < mu[i - 1]:
+        raise AssertionError("local pairing failed structural check")
+    if i == len(mu):
+        raise AssertionError("unreachable: matched removal in the last row")
     g1, _, s1 = removals[i - 1]
-    g2, _, s2 = removals[partner - 1]
+    g2, _, s2 = removals[i]
     if not is_strip_removal(lam, g2) or s1 == s2:
         raise AssertionError("local pairing failed structural check")
     return Pairing("matched", ((g1, s1), (g2, s2)))

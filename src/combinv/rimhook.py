@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .core import (
     Cell,
@@ -24,12 +23,11 @@ from .core import (
     filling_of,
     is_chain_tableau,
     is_hook_removal,
-    partial_sum_product,
     partitions,
     require_partition,
     skew_sign,
 )
-from .framework import IndexedMatrix, LocalSystem, Pairing, build_B
+from .framework import LocalSystem, Pairing
 
 
 # ---------------------------------------------------------------------------
@@ -352,25 +350,3 @@ def cyc_comp(sigma: Permutation) -> Composition:
 
 def cyc_part(sigma: Permutation) -> Partition:
     return tuple(sorted(cyc_comp(sigma), reverse=True))
-
-
-def count_by_cyc_comp(n: int, beta: Composition) -> int:
-    """Number of permutations of an n-set whose canonical cycle lengths are beta."""
-    if sum(beta) != n:
-        raise ValueError("size mismatch")
-    z = partial_sum_product(beta)
-    count, rem = divmod(factorial(n), z)
-    if rem:
-        raise AssertionError("partial-sum product must divide n!")
-    return count
-
-
-def factorial_scaled_b(n: int) -> IndexedMatrix:
-    """n! times the B matrix; integral because each row's denominator is the
-    partial-sum product of its key, which divides n!."""
-    matrix = build_B(rimhook_system(), n)
-    scale = factorial(n)
-    scaled = [[e * scale for e in row] for row in matrix.entries]
-    if any(e.denominator != 1 for row in scaled for e in row):
-        raise AssertionError("scaled entries must be integers")
-    return IndexedMatrix(matrix.row_keys, matrix.col_keys, scaled)

@@ -1,17 +1,39 @@
-"""Cell-set oracles for the shape-level removal steps, a brute-force
-filling generator and a dense matrix product with its identity check,
-shared across test modules.
+"""Independent oracles the tests hold the library against: cell-set
+predicates for the shape-level removal steps, a brute-force filling
+generator, a dense matrix product with its identity check, and the closed
+forms of the matrix families.
 
 The library works on shapes only: a horizontal strip, rim hook or special
 rim hook is fixed by the two shapes gamma inside lam on either side of it.
 These predicates check the same structures directly on the cell set
 dg(lam) - dg(gamma), so the tests can compare the two descriptions.
+
+The closed forms are the published ones: partial-sum products and
+centralizer orders z_lam, the refinement incidence and Moebius matrices with
+their weighted NSym versions, the brick-tabloid
+B = (-1)^(len(mu)-len(beta)) w_{beta,mu} / Z_beta (Egecioglu-Remmel 1991),
+and the shared intermediates of the refine and brick local identities.  The
+library builds every matrix by the one-step recursion and never calls them.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
-from combinv.core import Filling, partitions
+from combinv.core import (
+    Filling,
+    compositions,
+    last_part_sum,
+    multiplicity,
+    multiset_diff,
+    multiset_union,
+    partitions,
+    require_partition,
+)
+from combinv.framework import IndexedMatrix, build_B
+from combinv.refine import cbt_find
+from combinv.rimhook import rimhook_system
 
 Cell = tuple[int, int]
 
@@ -108,3 +130,293 @@ def is_identity_product(left, right):
         raise ValueError("key lists disagree")
     size = range(len(left.row_keys))
     return dense_product(left, right) == [[int(i == j) for j in size] for i in size]
+
+
+# ---------------------------------------------------------------------------
+# Scalar invariants and multisets
+# ---------------------------------------------------------------------------
+
+def partial_sum_product(beta):
+    """Product of the partial sums b1, b1+b2, ..., b1+...+bs (1 for ())."""
+    out, acc = 1, 0
+    for part in beta:
+        acc += part
+        out *= acc
+    return out
+
+
+def centralizer_order(lam):
+    """prod_k m_k! * k^m_k over the part multiplicities m_k of lam.
+
+    This is the number of permutations commuting with a fixed permutation of
+    cycle type lam; n!/centralizer_order(lam) is the conjugacy class size.
+    """
+    out = 1
+    for part, mult in Counter(lam).items():
+        out *= factorial(mult) * part**mult
+    return out
+
+
+def multiset_intersect(lam, mu):
+    return tuple(sorted((Counter(lam) & Counter(mu)).elements(), reverse=True))
+
+
+def count_by_cyc_comp(n, beta):
+    """Number of permutations of an n-set whose canonical cycle lengths are beta."""
+    if sum(beta) != n:
+        raise ValueError("size mismatch")
+    count, rem = divmod(factorial(n), partial_sum_product(beta))
+    if rem:
+        raise AssertionError("partial-sum product must divide n!")
+    return count
+
+
+def factorial_scaled_b(n):
+    """n! times the rim-hook B matrix; integral because each row's denominator
+    is the partial-sum product of its key, which divides n!."""
+    matrix, scale = build_B(rimhook_system(), n), factorial(n)
+    scaled = [[e * scale for e in row] for row in matrix.entries]
+    if any(e.denominator != 1 for row in scaled for e in row):
+        raise AssertionError("scaled entries must be integers")
+    return IndexedMatrix(matrix.row_keys, matrix.col_keys, scaled)
+
+
+# ---------------------------------------------------------------------------
+# Refinement order: incidence matrices and their NSym versions
+# ---------------------------------------------------------------------------
+
+def refines(alpha, beta):
+    """True when beta's parts are consecutive-block sums of alpha's parts."""
+    if sum(alpha) != sum(beta):
+        return False
+    pos = 0
+    for target in beta:
+        acc = 0
+        while acc < target:
+            if pos == len(alpha):
+                return False
+            acc += alpha[pos]
+            pos += 1
+        if acc != target:
+            return False
+    return pos == len(alpha)
+
+
+def row_compositions(tiling):
+    """The sub-composition of a CBT's content tiling each row."""
+    rows = [[] for _ in tiling.shape]
+    for _, row, _, length in sorted(tiling.bricks):
+        rows[row - 1].append(length)
+    return tuple(tuple(r) for r in rows)
+
+
+def weighted_factors(shape, content):
+    """(Z, L) read off the unique tiling of shape by content.
+
+    Z multiplies the partial-sum products of the per-row sub-compositions;
+    L multiplies the lengths of the last brick in each row.
+    """
+    found = cbt_find(shape, content)
+    if found is None:
+        raise ValueError("content does not refine shape")
+    z_total, l_total = 1, 1
+    for row_comp in row_compositions(found[0]):
+        z_total *= partial_sum_product(row_comp)
+        l_total *= row_comp[-1]
+    return z_total, l_total
+
+
+def _refinement_matrix(n, entry):
+    """C(n) x C(n) matrix whose (row, col) entry is entry(row, col)."""
+    keys = compositions(n)
+    return IndexedMatrix(keys, keys, [[entry(r, c) for c in keys] for r in keys])
+
+
+def incidence_matrix(n):
+    """A(lam, beta) = 1 iff lam refines beta."""
+    return _refinement_matrix(n, lambda lam, beta: int(refines(lam, beta)))
+
+
+def mobius_matrix(n):
+    """B(beta, mu) = (-1)^(len(beta)-len(mu)) iff beta refines mu."""
+    return _refinement_matrix(
+        n,
+        lambda beta, mu: (-1) ** (len(beta) - len(mu)) if refines(beta, mu) else 0,
+    )
+
+
+def self_inverse_matrix(n):
+    """The sign-twisted incidence matrix (-1)^(n-len(lam)) * [lam refines beta],
+    which is its own inverse."""
+    return _refinement_matrix(
+        n, lambda lam, beta: (-1) ** (n - len(lam)) if refines(lam, beta) else 0
+    )
+
+
+def weighted_incidence_matrix(n):
+    """A(lam, beta) = L_{beta,lam} when lam refines beta, else 0."""
+    return _refinement_matrix(
+        n,
+        lambda lam, beta: weighted_factors(beta, lam)[1] if refines(lam, beta) else 0,
+    )
+
+
+def weighted_mobius_matrix(n):
+    """B(beta, mu) = (-1)^(len(beta)-len(mu)) / Z_{mu,beta} when beta refines mu."""
+    return _refinement_matrix(
+        n,
+        lambda beta, mu: (
+            Fraction((-1) ** (len(beta) - len(mu)), weighted_factors(mu, beta)[0])
+            if refines(beta, mu)
+            else 0
+        ),
+    )
+
+
+def h_to_psi_matrix(n):
+    """Transition from the complete homogeneous to the power-sum basis of
+    NSym: entry (beta, lam) = 1/Z_{beta,lam} when lam refines beta.
+
+    This is the weighted Moebius matrix with its sign redistributed onto the
+    partner matrix; the pair below is mutually inverse.
+    """
+    return _refinement_matrix(
+        n,
+        lambda beta, lam: (
+            Fraction(1, weighted_factors(beta, lam)[0]) if refines(lam, beta) else 0
+        ),
+    )
+
+
+def psi_to_h_matrix(n):
+    """Transition from the power-sum to the complete homogeneous basis of
+    NSym: entry (mu, beta) = (-1)^(len(mu)-len(beta)) * L_{mu,beta} when beta
+    refines mu."""
+    return _refinement_matrix(
+        n,
+        lambda mu, beta: (
+            (-1) ** (len(beta) - len(mu)) * weighted_factors(mu, beta)[1]
+            if refines(beta, mu)
+            else 0
+        ),
+    )
+
+
+def local_g_refine(lam, mu):
+    """Shared intermediates with signs: prefixes of lam reachable by
+    shrinking the last part of mu."""
+    if sum(lam) != sum(mu) or not mu:
+        raise ValueError("shapes must have equal positive size")
+    head = mu[:-1]
+    out = []
+    if lam[: len(head)] == head:
+        out.append((head, 1))
+        k = len(mu)
+        if len(lam) >= k and lam[k - 1] < mu[-1]:
+            out.append((head + (lam[k - 1],), -1))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Brick tabloids of composition shape and partition type
+# ---------------------------------------------------------------------------
+
+def _row_fillings(target, avail):
+    """Ordered part sequences from the Counter `avail` summing to `target`,
+    largest-first recursively (canonical composition order)."""
+    if target == 0:
+        return [()]
+    out = []
+    for part in sorted(avail, reverse=True):
+        if part > target or avail[part] == 0:
+            continue
+        avail[part] -= 1
+        out.extend((part,) + rest for rest in _row_fillings(target - part, avail))
+        avail[part] += 1
+    return out
+
+
+def brick_tabloids(beta, mu):
+    """Row tilings of dg(beta) by bricks forming the multiset mu.
+
+    Each tabloid is reported as its tuple of per-row compositions; the
+    concatenated contents run through the rearrangements of mu compatible
+    with the row lengths, in canonical composition order.
+    """
+    if sum(beta) != sum(mu):
+        raise ValueError("size mismatch")
+    out = []
+
+    def rec(i, avail, acc):
+        if i == len(beta):
+            out.append(acc)
+            return
+        for row in _row_fillings(beta[i], avail):
+            for p in row:
+                avail[p] -= 1
+            rec(i + 1, avail, acc + (row,))
+            for p in row:
+                avail[p] += 1
+
+    rec(0, Counter(mu), ())
+    return out
+
+
+def tabloid_weight(rows):
+    """Product of the lengths of the last brick in each row."""
+    weight = 1
+    for row in rows:
+        weight *= row[-1]
+    return weight
+
+
+def w_of(beta, mu):
+    """Total last-brick weight over all brick tabloids of shape beta, type mu."""
+    return sum(tabloid_weight(rows) for rows in brick_tabloids(beta, mu))
+
+
+def brick_B_closed(n):
+    """Closed-form B: entry (beta, mu) = (-1)^(len(mu)-len(beta)) w_{beta,mu} / Z_beta."""
+    rows, cols = compositions(n), partitions(n)
+    entries = []
+    for beta in rows:
+        z = partial_sum_product(beta)
+        signs = [(-1) ** abs(len(mu) - len(beta)) for mu in cols]
+        entries.append([Fraction(s * w_of(beta, mu), z) for s, mu in zip(signs, cols)])
+    return IndexedMatrix(rows, cols, entries)
+
+
+def brick_local_g(lam, mu):
+    """Shared intermediates of the brick local identity with their terms, and
+    the total.
+
+    Off the diagonal, the multiset difference lam minus mu must be a single
+    part i; the intermediates are lam with that part removed entirely or
+    shrunk to any smaller part of mu minus lam, and their terms telescope
+    through the last-part-sum recursion to zero.
+    """
+    n = sum(lam)
+    if n != sum(mu) or n == 0:
+        raise ValueError("shapes must have equal positive size")
+    require_partition(lam, mu)
+
+    def term(gamma):
+        removed = multiset_diff(lam, gamma)
+        eps = multiset_diff(mu, gamma)
+        sign = -1 if (len(mu) - len(gamma) - 1) % 2 else 1
+        return Fraction(multiplicity(lam, removed[0]) * sign * last_part_sum(eps), n)
+
+    if lam == mu:
+        gammas = [multiset_diff(lam, (i,)) for i in sorted(set(lam), reverse=True)]
+    else:
+        extra = multiset_diff(lam, mu)
+        if len(extra) != 1:
+            return [], 0
+        meet = multiset_intersect(lam, mu)
+        gammas = [meet] + [
+            multiset_union(meet, (j,))
+            for j in sorted(set(multiset_diff(mu, lam)), reverse=True)
+            if j < extra[0]
+        ]
+    terms = [(gamma, term(gamma)) for gamma in gammas]
+    return terms, sum(t for _, t in terms)

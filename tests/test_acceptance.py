@@ -13,11 +13,9 @@ from math import factorial
 import goldens
 from combinv.core import (
     Filling,
-    centralizer_order,
     compositions,
     last_part_sum,
     multiset_diff,
-    partial_sum_product,
     partitions,
     sort_comp,
 )
@@ -35,22 +33,13 @@ from combinv.rimhook import (
     Permutation,
     abacus_from_partition,
     abacus_move_bead,
-    count_by_cyc_comp,
     cyc_comp,
     enumerate_rht,
     rimhook_pair,
     rimhook_system,
 )
-from combinv.refine import (
-    incidence_matrix,
-    local_g_refine,
-    mobius_matrix,
-    refine_system,
-    weighted_incidence_matrix,
-    weighted_mobius_matrix,
-    weighted_system,
-)
-from combinv.brick import brick_B_closed, brick_local_g, enumerate_obt, obt_system, w_of
+from combinv.refine import refine_system, weighted_system
+from combinv.brick import enumerate_obt, obt_system
 from combinv.involutions import (
     KostkaPair,
     RhtTriple,
@@ -61,7 +50,20 @@ from combinv.involutions import (
     rht_involution,
     verify_pairing,
 )
-from oracles import is_identity_product
+from oracles import (
+    brick_B_closed,
+    brick_local_g,
+    centralizer_order,
+    count_by_cyc_comp,
+    incidence_matrix,
+    is_identity_product,
+    local_g_refine,
+    mobius_matrix,
+    partial_sum_product,
+    w_of,
+    weighted_incidence_matrix,
+    weighted_mobius_matrix,
+)
 
 
 def report(number, text):

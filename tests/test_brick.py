@@ -5,7 +5,6 @@ import pytest
 import goldens
 from combinv.core import (
     Filling,
-    centralizer_order,
     compositions,
     last_part_sum,
     multiset_diff,
@@ -20,9 +19,6 @@ from combinv.framework import (
     square_fold_B,
 )
 from combinv.brick import (
-    brick_B_closed,
-    brick_local_g,
-    brick_tabloids,
     enumerate_obt,
     is_obt,
     marked_brick_bijection,
@@ -32,10 +28,16 @@ from combinv.brick import (
     obt_unsplit,
     part_decrements,
     sub_multisets_of_size,
+)
+from oracles import (
+    all_fillings,
+    brick_B_closed,
+    brick_local_g,
+    brick_tabloids,
+    centralizer_order,
     tabloid_weight,
     w_of,
 )
-from oracles import all_fillings
 
 
 class TestObtEnumeration:

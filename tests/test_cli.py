@@ -415,17 +415,24 @@ class TestAbacusCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "argv", [["--beads", "10001"], ["--beads", "5", "--move", "4", "10001"]]
+        "argv",
+        [
+            ["--partition", "2,1", "--beads", "10001"],
+            ["--partition", "2,1", "--beads", "5", "--move", "4", "10001"],
+            ["--partition", "10001", "--beads", "1"],
+        ],
     )
     def test_size_limit(self, monkeypatch, capsys, argv):
-        # a bead word is a list of --beads bits, padded up to the --move target
+        # a bead word has one bit per bead and per unit of the largest part,
+        # padded up to the --move target
         def unbuilt(*args):
             raise AssertionError("no bead word may be built above the size limit")
 
         monkeypatch.setattr(cli.rimhook, "abacus_from_partition", unbuilt)
-        assert run_cli("abacus", "--partition", "2,1", *argv) == (2, "")
+        assert run_cli("abacus", *argv) == (2, "")
         assert capsys.readouterr().err == (
-            "error: --beads and --move are limited to %d\n" % cli.MAX_POSITION
+            "error: --partition, --beads and --move are limited to %d\n"
+            % cli.MAX_POSITION
         )
         assert cli.MAX_POSITION == 10_000
 

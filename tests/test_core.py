@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from combinv.core import (
     Filling,
-    centralizer_order,
     chain_of,
     column_length,
     compositions,
@@ -17,9 +16,7 @@ from combinv.core import (
     last_part_sum,
     multiplicity,
     multiset_diff,
-    multiset_intersect,
     multiset_union,
-    partial_sum_product,
     partitions,
     sort_comp,
 )
@@ -28,11 +25,14 @@ from combinv.rimhook import enumerate_rht, is_rht
 from oracles import (
     all_fillings,
     cells_of,
+    centralizer_order,
     diagram,
     hook_sign,
     is_horizontal_strip,
     is_rim_hook,
     is_special_rim_hook,
+    multiset_intersect,
+    partial_sum_product,
 )
 
 

@@ -1,10 +1,15 @@
+import importlib
+import inspect
 import json
+import pkgutil
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import combinv
 import goldens
+import oracles
 from combinv import framework
 from combinv.core import compositions, partitions
 from combinv.framework import (
@@ -364,3 +369,23 @@ class TestOrderIndependence:
         assert first == second
         assert first.row_keys == partitions(5)
         assert first.col_keys == compositions(5)
+
+
+def test_oracles_are_not_library_names():
+    # the closed forms and cell-set predicates the library never runs live
+    # only in the tests, so neither the package nor a submodule defines them
+    names = {
+        name
+        for name, obj in vars(oracles).items()
+        if inspect.isfunction(obj) and obj.__module__ == "oracles"
+    }
+    modules = [combinv] + [
+        importlib.import_module("combinv." + info.name)
+        for info in pkgutil.iter_modules(combinv.__path__)
+    ]
+    assert {"combinv.core", "combinv.refine", "combinv.brick", "combinv.rimhook"} <= {
+        module.__name__ for module in modules
+    }
+    assert {"refines", "w_of", "partial_sum_product"} <= names
+    for module in modules:
+        assert not names & set(vars(module)), module.__name__

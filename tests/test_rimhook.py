@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 import goldens
 from combinv.core import (
-    centralizer_order,
     chain_of,
     compositions,
     is_hook_removal,
@@ -31,18 +30,19 @@ from combinv.rimhook import (
     border_hook,
     border_number_of_hook,
     cell_at,
-    count_by_cyc_comp,
     cyc_comp,
     cyc_part,
     enumerate_rht,
-    factorial_scaled_b,
     hook_removals,
     is_rht,
     rimhook_pair,
     rimhook_system,
 )
 from oracles import (
+    centralizer_order,
+    count_by_cyc_comp,
     diagram,
+    factorial_scaled_b,
     hook_sign,
     is_identity_product,
     is_rim_hook,
