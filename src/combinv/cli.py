@@ -27,6 +27,11 @@ from .framework import (
 # Above this n, `matrix` and `verify` are refused: some app's `verify` takes over 60 s.
 MAX_N = 12
 
+# Above this n = |shape|, `enumerate` refuses the kinds that list every object
+# before printing the first (obt at 1^9 lists 9! tabloids in about 0.8 GiB);
+# srht and cbt find at most one object, one B entry's, and share MAX_N.
+MAX_ENUMERATE_N = 8
+
 # Above this, `abacus` refuses a --partition part, --beads or a --move position:
 # the bead word has one bit per bead and per unit of the largest part.
 MAX_POSITION = 10_000
@@ -149,6 +154,9 @@ _ENUMERATORS = {
 def _cmd_enumerate(args, out) -> int:
     shape = parse_shape(args.shape)
     content = parse_shape(args.content)
+    limit = MAX_N if args.kind in ("srht", "cbt") else MAX_ENUMERATE_N
+    if sum(shape) > limit:
+        raise UsageError("n=%d is above the limit n <= %d" % (sum(shape), limit))
     try:
         objects = _ENUMERATORS[args.kind](shape, content)
     except ValueError as exc:

@@ -4,9 +4,10 @@ and last-part sums.
 Shapes are plain tuples of positive integers; all arithmetic is exact:
 Python ints, and fractions.Fraction only where a value divides.  A tableau
 built one incremental structure at a time is its chain of label-prefix shapes
-() = g0, g1, ..., g_m: the bijection layer works on these chains and converts
-to a Filling only at its public surface.  A strip or hook is the pair of shapes gamma inside lam
-around it, never a cell set; `border_hook` is the one hook computation.
+() = g0, g1, ..., g_m: `walk_chains` lists them from a successor callback, and
+the bijection layer works on them, converting to a Filling only at its public
+surface.  A strip or hook is the pair of shapes gamma inside lam around it,
+never a cell set; `border_hook` is the one hook computation.
 Every function here is pure, so the whole module is safe for concurrent use.
 """
 
@@ -16,7 +17,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -152,6 +153,12 @@ def skew_sign(outer: tuple[int, ...], inner: tuple[int, ...]) -> int:
     if rows == 0:
         raise ValueError("empty skew shape has no sign")
     return -1 if (rows - 1) % 2 else 1
+
+
+def rht_sign(chain: Chain) -> int:
+    """Product of the hook signs of the label classes of a (special) rim-hook
+    tableau, read off the consecutive shapes of its chain."""
+    return prod(skew_sign(outer, inner) for inner, outer in zip(chain, chain[1:]))
 
 
 def is_strip_removal(lam: Partition, gamma: Partition) -> bool:
@@ -294,6 +301,18 @@ def is_chain_tableau(
     if chain[0] != () or chain[-1] != tuple(shape) or sizes != tuple(content):
         return False
     return all(sizes) and all(step(outer, inner) for inner, outer in steps)
+
+
+def walk_chains(succ, shape: tuple[int, ...], content: Composition) -> list[Chain]:
+    """Every chain () = g0, g1, ..., gk = shape with g(i-1) in succ(g(i),
+    content[i-1]), in the successor callback's order, the top label's removal
+    varying slowest: the tableaux built one incremental structure at a time."""
+    if sum(shape) != sum(content):
+        raise ValueError("size mismatch")
+    chains = [(tuple(shape),)]
+    for length in reversed(content):
+        chains = [(g,) + chain for chain in chains for g in succ(chain[0], length)]
+    return chains
 
 
 # ---------------------------------------------------------------------------

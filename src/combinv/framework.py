@@ -201,7 +201,11 @@ def _recursion(system: LocalSystem, n: int, succ: Succ, weight: Weight) -> dict:
             for gamma, w in step.items():
                 size = sum(gamma)
                 last = (m - size,)
-                for beta, value in levels[size][gamma].items():
+                below = levels[size].get(gamma)
+                if below is None:
+                    fmt = "successor %r of %r is not in R(%d)"
+                    raise ValueError(fmt % (gamma, shape, size))
+                for beta, value in below.items():
                     key = beta + last
                     row[key] = row.get(key, 0) + w * value
             level[shape] = {beta: v for beta, v in row.items() if v}

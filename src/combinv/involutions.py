@@ -24,13 +24,13 @@ from .core import (
     chain_of,
     compositions,
     filling_of,
+    rht_sign,
 )
 from .kostka import (
     enumerate_ssyt,
     is_srht,
     is_ssyt,
     kostka_pair,
-    rht_sign,
     srht_find,
 )
 from .rimhook import (

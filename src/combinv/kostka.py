@@ -8,8 +8,6 @@ removal is the shape it leaves; a special rim hook is a column-1 border hook.
 
 from __future__ import annotations
 
-from math import prod
-
 from .core import (
     Chain,
     Composition,
@@ -21,19 +19,11 @@ from .core import (
     is_strip_removal,
     partitions,
     require_partition,
+    rht_sign,
     skew_sign,
+    walk_chains,
 )
 from .framework import LocalSystem, Pairing
-
-
-# ---------------------------------------------------------------------------
-# Signs of (special) rim-hook tableaux
-# ---------------------------------------------------------------------------
-
-def rht_sign(chain: Chain) -> int:
-    """Product of the hook signs of the label classes of a (special) rim-hook
-    tableau, read off the consecutive shapes of its chain."""
-    return prod(skew_sign(outer, inner) for inner, outer in zip(chain, chain[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -68,26 +58,11 @@ def strip_removals(lam: Partition, length: int) -> list[Partition]:
 
 
 def enumerate_ssyt(lam: Partition, beta: Composition) -> list[Filling]:
-    """All semistandard tableaux of the given shape and content.
-
-    Built by peeling the top-label horizontal strip, which mirrors the
-    recursion the Kostka matrices satisfy; output is sorted row-major for
-    reproducibility.
-    """
+    """All semistandard tableaux of the given shape and content, built by
+    peeling the top-label horizontal strip as the Kostka recursion does;
+    output is sorted row-major for reproducibility."""
     require_partition(lam)
-    if sum(lam) != sum(beta):
-        raise ValueError("size mismatch")
-
-    def rec(shape: Partition, k: int) -> list[Chain]:
-        if k == 0:
-            return [((),)] if not shape else []
-        return [
-            sub + (shape,)
-            for gamma in strip_removals(shape, beta[k - 1])
-            for sub in rec(gamma, k - 1)
-        ]
-
-    fillings = [filling_of(chain) for chain in rec(tuple(lam), len(beta))]
+    fillings = [filling_of(chain) for chain in walk_chains(strip_removals, lam, beta)]
     return sorted(fillings, key=lambda f: f.rows)
 
 
@@ -103,28 +78,19 @@ def srh_removals(mu: Partition) -> list[tuple[Partition, int, int]]:
     return [border_hook(mu, (i, 1)) for i in range(1, len(mu) + 1)]
 
 
-def srht_find(mu: Partition, beta: Composition) -> tuple[Filling, int] | None:
-    """The unique special rim-hook tableau of shape mu, content beta, if any.
+def srh_successors(mu: Partition, length: int) -> list[Partition]:
+    """The shapes left by removing a special rim-hook of size `length`: at most
+    one, as the hook of row i has size mu_i + len(mu) - i, the hook length of (i, 1)."""
+    rows = [i for i, part in enumerate(mu, start=1) if part + len(mu) - i == length]
+    return [border_hook(mu, (i, 1))[0] for i in rows]
 
-    Greedy removal from the last part of beta backwards; uniqueness of each
-    removal makes backtracking unnecessary.
-    """
+
+def srht_find(mu: Partition, beta: Composition) -> tuple[Filling, int] | None:
+    """The unique special rim-hook tableau of shape mu, content beta, if any:
+    each removal has at most one choice, so the walk finds at most one chain."""
     require_partition(mu)
-    if sum(mu) != sum(beta):
-        raise ValueError("size mismatch")
-    shapes = [tuple(mu)]
-    sign = 1
-    for length in reversed(beta):
-        for gamma, size, hsign in srh_removals(shapes[-1]):
-            if size == length:
-                shapes.append(gamma)
-                sign *= hsign
-                break
-        else:
-            return None
-    if shapes[-1]:
-        return None
-    return filling_of(tuple(reversed(shapes))), sign
+    chains = walk_chains(srh_successors, mu, beta)
+    return (filling_of(chains[0]), rht_sign(chains[0])) if chains else None
 
 
 def is_srht(chain: Chain, mu: Partition, beta: Composition) -> bool:
@@ -140,15 +106,11 @@ def is_srht(chain: Chain, mu: Partition, beta: Composition) -> bool:
 
 def kostka_system() -> LocalSystem:
     """Horizontal-strip removals against signed special rim-hook removals."""
-
-    def succ_b(mu, length):
-        return [g for g, size, _ in srh_removals(mu) if size == length]
-
     return LocalSystem(
         name="kostka",
         shapes=partitions,
         succ_a=strip_removals,
-        succ_b=succ_b,
+        succ_b=srh_successors,
         weight_a=lambda lam, gamma: 1,
         weight_b=skew_sign,
     )

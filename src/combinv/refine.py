@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Composition, compositions
+from .core import Composition, compositions, walk_chains
 from .framework import LocalSystem
 
 
@@ -48,24 +48,15 @@ class CBT:
 def cbt_find(shape: Composition, content: Composition) -> tuple[CBT, int] | None:
     """The unique brick tiling of `shape` by `content`, if content refines shape.
 
-    Bricks are laid in label order through the rows; the tiling fails exactly
-    when some brick would cross a row boundary.
+    Bricks are laid in label order through the rows, so brick k ends the last
+    row of the chain's shape g_k; no chain means a brick crosses a row end.
     """
-    if sum(shape) != sum(content):
-        raise ValueError("size mismatch")
-    bricks = []
-    k = 0
-    for i, row_len in enumerate(shape, start=1):
-        col = 0
-        while col < row_len:
-            if k == len(content) or col + content[k] > row_len:
-                return None
-            bricks.append((k + 1, i, col + 1, content[k]))
-            col += content[k]
-            k += 1
-    if k != len(content):
+    chains = walk_chains(_last_part_shrink, shape, content)
+    if not chains:
         return None
-    tiling = CBT(tuple(shape), tuple(content), tuple(bricks))
+    steps = enumerate(zip(chains[0][1:], content), start=1)
+    bricks = tuple((k, len(g), g[-1] - size + 1, size) for k, (g, size) in steps)
+    tiling = CBT(tuple(shape), tuple(content), bricks)
     return tiling, tiling.sign
 
 

@@ -25,7 +25,9 @@ from .core import (
     is_hook_removal,
     partitions,
     require_partition,
+    rht_sign,
     skew_sign,
+    walk_chains,
 )
 from .framework import LocalSystem, Pairing
 
@@ -76,27 +78,19 @@ def border_number_of_hook(shape: Partition, gamma: Partition) -> int:
 # Rim-hook tableaux
 # ---------------------------------------------------------------------------
 
+def hook_successors(shape: Partition, length: int) -> list[Partition]:
+    """The shapes left by removing a border rim-hook of size `length`."""
+    return [g for g, size, _ in hook_removals(shape) if size == length]
+
+
 def enumerate_rht(lam: Partition, beta: Composition) -> list[tuple[Filling, int]]:
-    """All rim-hook tableaux of shape lam, content beta, with signs.
-
-    Recurses on removal of the top-label hook, visiting removable hooks in
-    border-number order so the output order is deterministic.
-    """
+    """All rim-hook tableaux of shape lam, content beta, with signs; removable
+    hooks are visited in border-number order, so the output order is fixed."""
     require_partition(lam)
-    if sum(lam) != sum(beta):
-        raise ValueError("size mismatch")
-
-    def rec(shape: Partition, k: int) -> list[tuple[Chain, int]]:
-        if k == 0:
-            return [(((),), 1)] if not shape else []
-        return [
-            (sub + (shape,), subsign * sign)
-            for gamma, size, sign in hook_removals(shape)
-            if size == beta[k - 1]
-            for sub, subsign in rec(gamma, k - 1)
-        ]
-
-    return [(filling_of(chain), sign) for chain, sign in rec(tuple(lam), len(beta))]
+    return [
+        (filling_of(chain), rht_sign(chain))
+        for chain in walk_chains(hook_successors, lam, beta)
+    ]
 
 
 def is_rht(chain: Chain, lam: Partition, beta: Composition) -> bool:
@@ -107,15 +101,11 @@ def is_rht(chain: Chain, lam: Partition, beta: Composition) -> bool:
 
 def rimhook_system() -> LocalSystem:
     """Signed rim-hook removal on both sides, B rescaled by 1/|shape|."""
-
-    def succ(shape, length):
-        return [g for g, size, _ in hook_removals(shape) if size == length]
-
     return LocalSystem(
         name="rimhook",
         shapes=partitions,
-        succ_a=succ,
-        succ_b=succ,
+        succ_a=hook_successors,
+        succ_b=hook_successors,
         weight_a=skew_sign,
         weight_b=lambda mu, delta: Fraction(skew_sign(mu, delta), sum(mu)),
     )
@@ -336,9 +326,12 @@ class Permutation:
     @classmethod
     def from_json(cls, data: dict) -> "Permutation":
         cycles, ground = [tuple(c) for c in data["cycles"]], tuple(data["ground"])
+        elements = ground + tuple(x for c in cycles for x in c)
+        if any(type(x) is not int for x in elements):
+            raise ValueError("permutation elements must be integers")
         if len(set(ground)) != len(ground):
             raise ValueError("duplicate ground element")
-        if not set(ground).issuperset(x for c in cycles for x in c):
+        if not set(ground).issuperset(elements):
             raise ValueError("cycle element outside the ground set")
         return cls.from_cycles(cycles, ground)
 

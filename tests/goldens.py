@@ -111,3 +111,13 @@ BRICK_B4_SQUARE = matrix(PARTS4, PARTS4, [
     "0 0 0 1/2 -1/4",
     "0 0 0 0 1/24",
 ])
+
+# sha256 of TestEnumerateCommand::test_golden_digest's lines per kind: the
+# `combinv enumerate` objects of every shape and content with n <= 5
+ENUMERATE_SHA256 = {
+    "cbt": "a3262c71dc4f4b793f5148e1394611efe1010ca9a11e375e81957e4a6cc2d520",
+    "obt": "35e7d227db38210d5a3b04d5de0d99d2ec75cc3fbf5d9358f065fa58d26ea68f",
+    "rht": "2ca788a80aa1f94b5c9518874ae171d2590231e45e631a0b4309398d5bda35c2",
+    "srht": "92235253ab0896c1ae828b21834cc18815babf0cb63738b423f9f4eb21d5d23e",
+    "ssyt": "47bd29937a1678e0d457029983bcc429bbd8bcaeba9ca167918ba75511b7a75b",
+}

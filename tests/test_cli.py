@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from dataclasses import replace
@@ -5,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import goldens
 from combinv import cli
-from combinv.core import Filling
+from combinv.core import Filling, compositions
 
 
 def run_cli(*argv):
@@ -260,6 +262,55 @@ class TestEnumerateCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("kind", sorted(cli._ENUMERATORS))
+    def test_golden_digest(self, kind):
+        # every shape and content with n <= 5, error messages included, as
+        # the enumerators wrote them before they were built on one chain walk
+        shapes = [c for n in range(6) for c in compositions(n)]
+        lines = []
+        for shape in shapes:
+            for content in shapes:
+                lines.append("%r %r" % (shape, content))
+                try:
+                    objects = cli._ENUMERATORS[kind](shape, content)
+                except ValueError as exc:
+                    lines.append("error: %s" % exc)
+                else:
+                    lines.extend(json.dumps(obj) for obj in objects)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == goldens.ENUMERATE_SHA256[kind]
+
+    @staticmethod
+    def _limit(kind):
+        return cli.MAX_N if kind in ("srht", "cbt") else cli.MAX_ENUMERATE_N
+
+    @pytest.mark.parametrize("kind", sorted(cli._ENUMERATORS))
+    def test_size_limit(self, monkeypatch, capsys, kind):
+        # ssyt, rht and obt list up to n! objects; srht and cbt at most one
+        def unlisted(shape, content):
+            raise AssertionError("nothing may be enumerated above the size limit")
+
+        monkeypatch.setitem(cli._ENUMERATORS, kind, unlisted)
+        n = self._limit(kind) + 1
+        ones = ",".join(["1"] * n)
+        argv = ["enumerate", "--kind", kind, "--shape", ones, "--content", ones]
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: n=%d is above the limit n <= %d\n" % (n, n - 1)
+        )
+        assert cli.MAX_ENUMERATE_N == 8
+
+    @pytest.mark.parametrize("kind", sorted(cli._ENUMERATORS))
+    def test_size_limit_admits_its_bound(self, monkeypatch, kind):
+        # the enumerator runs, so the limit let n through
+        def sentinel(shape, content):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setitem(cli._ENUMERATORS, kind, sentinel)
+        ones = ",".join(["1"] * self._limit(kind))
+        argv = ["enumerate", "--kind", kind, "--shape", ones, "--content", ones]
+        assert run_cli(*argv) == (4, "")
+
 
 class TestInvoluteCommand:
     def test_kostka_with_trace(self, tmp_path):
@@ -341,6 +392,16 @@ class TestInvoluteCommand:
                 "S": {"rows": [[1, 1, 1]]},
                 "T": {"rows": [[1], [1], [1]]},
                 "sigma": {"ground": [1, 2], "cycles": [[1, 2, 3]]},
+            },
+            {
+                "S": {"rows": [[1, 1]]},
+                "T": {"rows": [[1], [1]]},
+                "sigma": {"ground": [1, 2], "cycles": [[True, 2]]},
+            },
+            {
+                "S": {"rows": [[1, 1]]},
+                "T": {"rows": [[1], [1]]},
+                "sigma": {"ground": [True, 2.5], "cycles": [[True, 2.5]]},
             },
         ],
     )

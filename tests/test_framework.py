@@ -4,6 +4,7 @@ import json
 import pkgutil
 from dataclasses import replace
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -11,7 +12,7 @@ import combinv
 import goldens
 import oracles
 from combinv import framework
-from combinv.core import compositions, partitions
+from combinv.core import compositions, partitions, walk_chains
 from combinv.framework import (
     build_A,
     build_B,
@@ -87,6 +88,25 @@ class TestRecursionMatchesTables:
             system = make()
             assert build_A(system, 0).entries == [[Fraction(1)]]
             assert build_B(system, 0).entries == [[Fraction(1)]]
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("make", ALL_SYSTEMS)
+    def test_entries_sum_the_weights_of_chains(self, make, side):
+        # M(s, beta) is the sum over the chains () = g0, ..., gk = s whose
+        # step i removes a structure of size beta_i, of the steps' weights
+        system = make()
+        succ = getattr(system, "succ_" + side)
+        weight = getattr(system, "weight_" + side)
+        for n in range(7):
+            table = framework._recursion(system, n, succ, weight)
+            assert list(table) == system.shapes(n)
+            for shape, row in table.items():
+                for beta in compositions(n):
+                    total = sum(
+                        prod(weight(outer, inner) for inner, outer in zip(c, c[1:]))
+                        for c in walk_chains(succ, shape, beta)
+                    )
+                    assert row.get(beta, 0) == total, (shape, beta)
 
 
 class TestInversionAndLocal:
@@ -239,6 +259,22 @@ class TestLocalProduct:
             verify_local(broken, 3)
         with pytest.raises(ValueError, match=message):
             local_terms(broken, (2, 1), (2, 1))
+
+    def test_successor_outside_the_shapes_is_rejected(self):
+        # (0, 2) has the right size but is no partition, so no row of R(2)
+        system = kostka_system()
+        succ_a = system.succ_a
+
+        def stray(lam, length):
+            found = succ_a(lam, length)
+            return found + [(0, 2)] if (lam, length) == ((2, 1), 1) else found
+
+        broken = replace(system, succ_a=stray)
+        message = r"successor \(0, 2\) of \(2, 1\) is not in R\(2\)"
+        with pytest.raises(ValueError, match=message):
+            build_A(broken, 3)
+        with pytest.raises(ValueError, match=message):
+            verify_inversion(broken, 3)
 
 
 B_CHANGES = {
