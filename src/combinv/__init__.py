@@ -8,7 +8,6 @@ from .core import (
     last_part_sum,
     multiplicity,
     multiset_diff,
-    multiset_union,
     partitions,
     sort_comp,
 )

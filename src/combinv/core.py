@@ -17,6 +17,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import factorial, prod
 
 Partition = tuple[int, ...]
@@ -66,15 +67,28 @@ def partitions(n: int) -> list[Partition]:
     return list(_partitions_bounded(n, n)) if n else [()]
 
 
+def is_composition(seq: tuple[int, ...]) -> bool:
+    return all(a >= 1 for a in seq)
+
+
 def is_partition(seq: tuple[int, ...]) -> bool:
-    return all(a >= b for a, b in zip(seq, seq[1:])) and all(a >= 1 for a in seq)
+    return is_composition(seq) and all(a >= b for a, b in zip(seq, seq[1:]))
+
+
+def _require(test, noun: str, shapes) -> None:
+    for shape in shapes:
+        if not test(shape):
+            raise ValueError("%r is not a %s" % (tuple(shape), noun))
+
+
+def require_composition(*shapes: tuple[int, ...]) -> None:
+    """Raise ValueError unless every part of every shape is at least 1."""
+    _require(is_composition, "composition", shapes)
 
 
 def require_partition(*shapes: tuple[int, ...]) -> None:
     """Raise ValueError unless every shape is a partition."""
-    for shape in shapes:
-        if not is_partition(shape):
-            raise ValueError("%r is not a partition" % (tuple(shape),))
+    _require(is_partition, "partition", shapes)
 
 
 def sort_comp(alpha: Composition) -> Partition:
@@ -113,21 +127,9 @@ def multiplicity(lam: Partition, i: int) -> int:
     return lam.count(i)
 
 
-def _from_counter(counts: Counter) -> Partition:
-    parts: list[int] = []
-    for value, mult in counts.items():
-        if mult > 0:
-            parts.extend([value] * mult)
-    return tuple(sorted(parts, reverse=True))
-
-
-def multiset_union(lam: Partition, mu: Partition) -> Partition:
-    return _from_counter(Counter(lam) + Counter(mu))
-
-
 def multiset_diff(lam: Partition, mu: Partition) -> Partition:
     """Multiset difference; multiplicities clamp at zero."""
-    return _from_counter(Counter(lam) - Counter(mu))
+    return tuple(sorted((Counter(lam) - Counter(mu)).elements(), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +284,13 @@ def chain_of(filling: Filling) -> Chain | None:
 
 
 def filling_of(chain: Chain) -> Filling:
-    """The filling whose label-prefix shapes are `chain`; inverse of chain_of."""
-    rows: list[list[int]] = [[] for _ in chain[-1]]
-    for label, outer in enumerate(chain[1:], start=1):
-        for row, part in zip(rows, outer):
-            row.extend([label] * (part - len(row)))
-    return Filling(rows)
+    """The filling of any chain of growing row-length tuples (a missing row
+    is 0): label k fills row r past chain[k-1][r] up to chain[k][r].  On
+    label-prefix partitions it is the inverse of chain_of."""
+    return Filling(
+        tuple(bisect_right(lengths, cell) for cell in range(lengths[-1]))
+        for lengths in zip_longest(*chain, fillvalue=0)
+    )
 
 
 def is_chain_tableau(
@@ -304,9 +307,11 @@ def is_chain_tableau(
 
 
 def walk_chains(succ, shape: tuple[int, ...], content: Composition) -> list[Chain]:
-    """Every chain () = g0, g1, ..., gk = shape with g(i-1) in succ(g(i),
+    """Every chain g0, g1, ..., gk = shape with g(i-1) in succ(g(i),
     content[i-1]), in the successor callback's order, the top label's removal
-    varying slowest: the tableaux built one incremental structure at a time."""
+    varying slowest: the tableaux built one incremental structure at a time.
+    A part below 1 in shape or content is a ValueError."""
+    require_composition(shape, content)
     if sum(shape) != sum(content):
         raise ValueError("size mismatch")
     chains = [(tuple(shape),)]

@@ -27,6 +27,7 @@ from .core import (
     is_partition,
     partitions,
     rational_to_json,
+    require_composition,
     require_partition,
     sort_comp,
 )
@@ -239,8 +240,8 @@ def local_terms(
     n = sum(lam)
     if n != sum(mu) or n == 0:
         raise ValueError("shapes must have equal positive size")
-    if system.shapes is partitions:
-        require_partition(lam, mu)
+    require = require_partition if system.shapes is partitions else require_composition
+    require(lam, mu)
     shared = _successors(lam, system.succ_a).keys() & _successors(mu, system.succ_b)
     return [
         (g, _weigh(system.weight_a, lam, g) * _weigh(system.weight_b, mu, g))

@@ -8,6 +8,9 @@ rim hook is fixed by the two shapes gamma inside lam on either side of it.
 These predicates check the same structures directly on the cell set
 dg(lam) - dg(gamma), so the tests can compare the two descriptions.
 
+The ordered-brick-tabloid validator and the two brick bijections are
+here too: the library enumerates tabloids by a chain walk alone.
+
 The closed forms are the published ones: partial-sum products and
 centralizer orders z_lam, the refinement incidence and Moebius matrices with
 their weighted NSym versions, the brick-tabloid
@@ -27,9 +30,9 @@ from combinv.core import (
     last_part_sum,
     multiplicity,
     multiset_diff,
-    multiset_union,
     partitions,
     require_partition,
+    sort_comp,
 )
 from combinv.framework import IndexedMatrix, build_B
 from combinv.refine import cbt_find
@@ -159,6 +162,10 @@ def centralizer_order(lam):
 
 def multiset_intersect(lam, mu):
     return tuple(sorted((Counter(lam) & Counter(mu)).elements(), reverse=True))
+
+
+def multiset_union(lam, mu):
+    return tuple(sorted(lam + mu, reverse=True))
 
 
 def count_by_cyc_comp(n, beta):
@@ -420,3 +427,102 @@ def brick_local_g(lam, mu):
         ]
     terms = [(gamma, term(gamma)) for gamma in gammas]
     return terms, sum(t for _, t in terms)
+
+
+# ---------------------------------------------------------------------------
+# Ordered brick tabloids: the validator, the brick-removal bijection behind
+# the A weight, and the marked-tiling bijection behind the last-part sum
+# ---------------------------------------------------------------------------
+
+def is_obt(filling, lam, beta):
+    """True when the filling has shape lam and content beta, each label in a
+    single row, and weakly increasing rows."""
+    sizes = Counter(v for row in filling.rows for v in row)
+    row_labels = [v for row in filling.rows for v in set(row)]
+    return (
+        filling.shape == tuple(lam)
+        and sorted(sizes.items()) == list(enumerate(beta, start=1))
+        and len(row_labels) == len(set(row_labels))  # no label in two rows
+        and all(list(row) == sorted(row) for row in filling.rows)
+    )
+
+
+def obt_split(tabloid):
+    """Remove the largest-labeled brick, witnessing the multiplicity weight.
+
+    The brick sits at the end of the k-th highest row of its length i; the
+    truncated row is re-inserted as the highest row of length i - L.
+    Returns (k, smaller tabloid); `obt_unsplit` is the two-sided inverse.
+    """
+    label = tabloid.max_label()
+    if label == 0:
+        raise ValueError("empty tabloid has no brick to remove")
+    rows = list(tabloid.rows)
+    row_idx = next(i for i, row in enumerate(rows) if label in row)
+    length = len(rows[row_idx])
+    truncated = tuple(v for v in rows[row_idx] if v != label)
+    if rows[row_idx][: len(truncated)] != truncated:
+        raise ValueError("largest brick is not at the end of its row")
+    k = sum(1 for row in rows[: row_idx + 1] if len(row) == length)
+    del rows[row_idx]
+    if truncated:
+        insert_at = next(
+            (i for i, row in enumerate(rows) if len(row) <= len(truncated)),
+            len(rows),
+        )
+        rows.insert(insert_at, truncated)
+    return k, Filling(tuple(rows))
+
+
+def obt_unsplit(lam, k, tabloid):
+    """Re-attach a brick of the next label so the result has shape lam."""
+    gamma = tabloid.shape
+    removed = multiset_diff(lam, sort_comp(gamma))
+    if len(removed) != 1:
+        raise ValueError("target shape does not decrement a single part")
+    i = removed[0]
+    if not 1 <= k <= multiplicity(lam, i):
+        raise ValueError("row index exceeds the multiplicity weight")
+    brick = sum(lam) - sum(gamma)
+    rows = list(tabloid.rows)
+    grown = (tabloid.max_label() + 1,) * brick
+    if i > brick:
+        take = next(idx for idx, row in enumerate(rows) if len(row) == i - brick)
+        grown = rows.pop(take) + grown
+    block = next((idx for idx, row in enumerate(rows) if len(row) <= i), len(rows))
+    rows.insert(block + k - 1, grown)
+    return Filling(tuple(rows))
+
+
+def marked_brick_bijection(alpha, marked_cell):
+    """Swap the brick holding the marked cell with the last brick.
+
+    Input: a row tiling alpha (a rearrangement of its sorted type) and a
+    marked cell position in 1..n.  Output: the swapped tiling, the index of
+    the now-marked brick (the brick that used to be last), and the new
+    position of the marked cell, which lands in the rightmost brick.
+    """
+    n = sum(alpha)
+    if not 1 <= marked_cell <= n:
+        raise ValueError("marked cell out of range")
+    start, brick = 0, 1
+    while marked_cell > start + alpha[brick - 1]:
+        start += alpha[brick - 1]
+        brick += 1
+    swapped = list(alpha)
+    swapped[brick - 1], swapped[-1] = swapped[-1], swapped[brick - 1]
+    new_cell = n - alpha[brick - 1] + marked_cell - start
+    return tuple(swapped), brick, new_cell
+
+
+def marked_brick_bijection_inv(alpha, marked_brick, marked_cell):
+    """Inverse: swap the marked brick back with the last brick."""
+    n = sum(alpha)
+    if not 1 <= marked_brick <= len(alpha):
+        raise ValueError("marked brick out of range")
+    if not n - alpha[-1] + 1 <= marked_cell <= n:
+        raise ValueError("marked cell must lie in the last brick")
+    swapped = list(alpha)
+    swapped[marked_brick - 1], swapped[-1] = swapped[-1], swapped[marked_brick - 1]
+    new_cell = sum(swapped[: marked_brick - 1]) + marked_cell - (n - alpha[-1])
+    return tuple(swapped), new_cell

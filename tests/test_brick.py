@@ -20,12 +20,7 @@ from combinv.framework import (
 )
 from combinv.brick import (
     enumerate_obt,
-    is_obt,
-    marked_brick_bijection,
-    marked_brick_bijection_inv,
-    obt_split,
     obt_system,
-    obt_unsplit,
     part_decrements,
     sub_multisets_of_size,
 )
@@ -35,6 +30,11 @@ from oracles import (
     brick_local_g,
     brick_tabloids,
     centralizer_order,
+    is_obt,
+    marked_brick_bijection,
+    marked_brick_bijection_inv,
+    obt_split,
+    obt_unsplit,
     tabloid_weight,
     w_of,
 )
@@ -72,6 +72,18 @@ class TestObtEnumeration:
         assert not is_obt(Filling(((1, 2),)), (1, 1), (1, 1))
         assert not is_obt(Filling(((1, 2),)), (2,), (2,))
         assert not is_obt(Filling(((1, 3),)), (2,), (1, 0, 1))  # no label 2
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_order_is_by_brick_rows(self, n):
+        # ascending in (row of brick 1, row of brick 2, ...), read off each
+        # filling; the enumerate digests pin this order only up to n = 5
+        for lam in partitions(n):
+            for beta in compositions(n):
+                assignments = []
+                for filling in enumerate_obt(lam, beta):
+                    row_of = {v: r for r, row in enumerate(filling.rows) for v in row}
+                    assignments.append(tuple(row_of[k] for k in range(1, len(beta) + 1)))
+                assert assignments == sorted(set(assignments))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_counts_match_matrix(self, n):
@@ -153,6 +165,26 @@ class TestSystemPieces:
         assert set(succ) == {(3, 2, 1), (3, 3)}
         assert system.weight_a((3, 3, 2), (3, 2, 1)) == 2
         assert system.weight_a((3, 3, 2), (3, 3)) == 1
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_part_decrements_replace_one_part(self, n):
+        system = obt_system()
+        for lam in partitions(n):
+            for length in range(1, n + 1):
+                decrements = [
+                    (i, sort_comp(lam[:r] + lam[r + 1 :] + (i - length,) * (i > length)))
+                    for r, i in enumerate(lam)
+                    if i >= length
+                ]
+                succ = part_decrements(lam, length)
+                assert len(succ) == len(set(succ))
+                assert set(succ) == {gamma for _, gamma in decrements}
+                # largest decremented part first
+                parts = [next(i for i, g in decrements if g == gamma) for gamma in succ]
+                assert parts == sorted(parts, reverse=True)
+                for gamma in succ:
+                    rows = sum(1 for _, g in decrements if g == gamma)
+                    assert system.weight_a(lam, gamma) == rows
 
     def test_sub_multisets(self):
         assert set(sub_multisets_of_size((2, 1, 1), 2)) == {(2,), (1, 1)}

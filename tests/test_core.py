@@ -16,11 +16,13 @@ from combinv.core import (
     last_part_sum,
     multiplicity,
     multiset_diff,
-    multiset_union,
     partitions,
     sort_comp,
+    walk_chains,
 )
-from combinv.kostka import enumerate_ssyt, is_srht, is_ssyt, rht_sign
+from combinv.brick import enumerate_obt
+from combinv.kostka import enumerate_ssyt, is_srht, is_ssyt, rht_sign, srht_find
+from combinv.refine import cbt_find
 from combinv.rimhook import enumerate_rht, is_rht
 from oracles import (
     all_fillings,
@@ -32,6 +34,7 @@ from oracles import (
     is_rim_hook,
     is_special_rim_hook,
     multiset_intersect,
+    multiset_union,
     partial_sum_product,
 )
 
@@ -271,6 +274,13 @@ class TestChains:
         assert filling_of(((),)) == Filling(())
         assert chain_of(Filling(())) == ((),)
 
+    def test_filling_of_rows_that_keep_their_positions(self):
+        # a chain of row-length tuples, as the brick walk builds it
+        assert filling_of(((0, 0), (0, 2), (1, 2))) == Filling(((2,), (1, 1)))
+        assert filling_of(((0, 0), (2, 0), (2, 1), (3, 1))) == Filling(
+            ((1, 1, 3), (2,))
+        )
+
     def test_non_partition_prefixes(self):
         assert chain_of(Filling(((1,), (2, 3)))) is None
         assert chain_of(Filling(((2, 1),))) is None
@@ -286,6 +296,23 @@ class TestChains:
         # labels 1 and 3 of a row (1, 3): the empty step of label 2 is no tableau
         assert chain_of(Filling(((1, 3),))) == ((), (1,), (1,), (2,))
         assert not validator(((), (1,), (1,), (2,)), (2,), (1, 0, 1))
+
+    def test_walk_rejects_parts_below_one(self):
+        succ = lambda shape, length: [shape[:-1]] if shape[-1:] == (length,) else []
+        assert walk_chains(succ, (1, 2), (1, 2)) == [((), (1,), (1, 2))]
+        for shape, content in [((2, 0), (2,)), ((2,), (2, 0)), ((3, -1), (2,))]:
+            with pytest.raises(ValueError, match="not a composition"):
+                walk_chains(succ, shape, content)
+
+    @pytest.mark.parametrize(
+        "enumerate_", [enumerate_ssyt, srht_find, enumerate_rht, cbt_find, enumerate_obt]
+    )
+    def test_enumerators_reject_content_parts_below_one(self, enumerate_):
+        # each walks its chains, so a zero or negative brick, strip or hook
+        # is bad input, not an object of size 0
+        for content in [(2, 0), (0, 2), (3, -1)]:
+            with pytest.raises(ValueError, match="not a composition"):
+                enumerate_((2,), content)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_round_trip(self, n):

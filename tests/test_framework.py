@@ -140,6 +140,12 @@ class TestInversionAndLocal:
         with pytest.raises(ValueError, match="not a partition"):
             local_terms(make(), (2, 1), (1, 2))
 
+    @pytest.mark.parametrize("make", [refine_system, weighted_system])
+    @pytest.mark.parametrize("lam, mu", [((2, 0), (2,)), ((3, -1), (2,)), ((2,), (2, 0))])
+    def test_local_terms_reject_non_compositions(self, make, lam, mu):
+        with pytest.raises(ValueError, match="not a composition"):
+            local_terms(make(), lam, mu)
+
     def test_broken_system_fails_both_ways(self):
         # sabotage one weight: the local check and the product check must
         # both detect it, reflecting their equivalence
@@ -422,6 +428,6 @@ def test_oracles_are_not_library_names():
     assert {"combinv.core", "combinv.refine", "combinv.brick", "combinv.rimhook"} <= {
         module.__name__ for module in modules
     }
-    assert {"refines", "w_of", "partial_sum_product"} <= names
+    assert {"refines", "w_of", "partial_sum_product", "obt_split", "multiset_union"} <= names
     for module in modules:
         assert not names & set(vars(module)), module.__name__
