@@ -1,8 +1,9 @@
 """Command-line front end: build matrices, verify identities, run bijections.
 
 All state lives in flags, and output is byte-deterministic for fixed
-arguments.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 malformed input file, 4 internal invariant failure.
+arguments.  Each command returns its exit code and its whole stdout text,
+which `run` alone writes.  Exit codes: 0 success, 1 verification failure,
+2 usage error, 3 malformed input file, 4 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -10,11 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import brick, involutions, kostka, refine, rimhook
 from .core import format_rational, sort_comp
 from .framework import (
-    IndexedMatrix,
     build_A,
     build_B,
     local_terms,
@@ -31,6 +32,12 @@ MAX_N = 12
 # before printing the first (obt at 1^9 lists 9! tabloids in about 0.8 GiB);
 # srht and cbt find at most one object, one B entry's, and share MAX_N.
 MAX_ENUMERATE_N = 8
+
+# Above this n = |lambda|, `local` and `pair` are refused.  The slowest shapes
+# measured at n = 90 are brick's mu maximising prod(m_i + 1) over its part
+# multiplicities m_i (7.2 s; 9.6 s at n = 92), its conjugate for kostka (2.6 s)
+# and 1^90 for rimhook (0.2 s); `pair` answers any shape at n = 90 within 0.02 s.
+MAX_LOCAL_N = 90
 
 # Above this, `abacus` refuses a --partition part, --beads or a --move position:
 # the bead word has one bit per bead and per unit of the largest part.
@@ -66,60 +73,57 @@ def parse_shape(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _emit_matrix(matrix: IndexedMatrix, fmt: str, out) -> None:
-    if fmt == "json":
-        json.dump(matrix.to_json(), out)
-        out.write("\n")
-    elif fmt == "csv":
-        out.write(matrix.to_csv())
-    else:
-        out.write(matrix.to_ascii() + "\n")
+def _json_line(obj) -> str:
+    """obj as one JSON line; `json.dumps` runs the C encoder, unlike `json.dump`."""
+    return json.dumps(obj) + "\n"
 
 
-def _cmd_matrix(args, out) -> int:
-    system = _SYSTEMS[args.app]()
-    build = {
-        "A": lambda: build_A(system, args.n),
-        "B": lambda: build_B(system, args.n),
-        "Asq": lambda: square_restrict_A(build_A(system, args.n)),
-        "Bsq": lambda: square_fold_B(build_B(system, args.n)),
-    }[args.side]
-    _emit_matrix(build(), args.format, out)
-    return 0
+def _cmd_matrix(args) -> tuple[int, str]:
+    build = build_B if args.side.startswith("B") else build_A
+    square = {"Asq": square_restrict_A, "Bsq": square_fold_B}.get(args.side)
+    matrix = build(_SYSTEMS[args.app](), args.n)
+    matrix = square(matrix) if square else matrix
+    if args.format == "json":
+        return 0, _json_line(matrix.to_json())
+    return 0, matrix.to_csv() if args.format == "csv" else matrix.to_ascii() + "\n"
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     system = _SYSTEMS[args.app]()
     inversion = verify_inversion(system, args.n)
     report = verify_local(system, args.n) if args.n >= 1 else None
-    out.write("inversion n=%d: %s\n" % (args.n, "pass" if inversion else "FAIL"))
+    text = "inversion n=%d: %s\n" % (args.n, "pass" if inversion else "FAIL")
     if report is None:
-        return 0 if inversion else 1
+        return (0 if inversion else 1), text
     fmt = "local identities n=%d: %s (%d pairs)\n"
-    out.write(fmt % (args.n, "pass" if report.passed else "FAIL", report.pairs_checked))
+    text += fmt % (args.n, "pass" if report.passed else "FAIL", report.pairs_checked)
     for lam, mu, value in report.failures:
-        out.write("  violation at %r, %r: %s\n" % (lam, mu, format_rational(value)))
-    return 0 if inversion and report.passed else 1
+        text += "  violation at %r, %r: %s\n" % (lam, mu, format_rational(value))
+    return (0 if inversion and report.passed else 1), text
 
 
-def _cmd_local(args, out) -> int:
+def _require_size(n: int, limit: int) -> None:
+    if n > limit:
+        raise UsageError("n=%d is above the limit n <= %d" % (n, limit))
+
+
+def _shape_pair(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """--lambda and --mu of `local` and `pair`, within MAX_LOCAL_N."""
     lam = parse_shape(args.lam)
-    mu = parse_shape(args.mu)
+    _require_size(sum(lam), MAX_LOCAL_N)
+    return lam, parse_shape(args.mu)
+
+
+def _cmd_local(args) -> tuple[int, str]:
+    lam, mu = _shape_pair(args)
     terms = local_terms(_SYSTEMS[args.app](), lam, mu)
     shared = [{"gamma": list(g), "term": format_rational(t)} for g, t in terms]
     total = sum(t for _, t in terms)
-    json.dump({"G": shared, "total": format_rational(total)}, out)
-    out.write("\n")
-    return 0
+    return 0, _json_line({"G": shared, "total": format_rational(total)})
 
 
 def _enumerate_ssyt(shape, content):
     return [{"object": f.to_json()} for f in kostka.enumerate_ssyt(shape, content)]
-
-
-def _enumerate_srht(shape, content):
-    found = kostka.srht_find(shape, content)
-    return [] if found is None else [{"object": found[0].to_json(), "sign": found[1]}]
 
 
 def _enumerate_rht(shape, content):
@@ -129,8 +133,8 @@ def _enumerate_rht(shape, content):
     ]
 
 
-def _enumerate_cbt(shape, content):
-    found = refine.cbt_find(shape, content)
+def _enumerate_found(find, shape, content):
+    found = find(shape, content)
     return [] if found is None else [{"object": found[0].to_json(), "sign": found[1]}]
 
 
@@ -144,48 +148,33 @@ def _enumerate_obt(shape, content):
 
 _ENUMERATORS = {
     "ssyt": _enumerate_ssyt,
-    "srht": _enumerate_srht,
+    "srht": partial(_enumerate_found, kostka.srht_find),
     "rht": _enumerate_rht,
-    "cbt": _enumerate_cbt,
+    "cbt": partial(_enumerate_found, refine.cbt_find),
     "obt": _enumerate_obt,
 }
 
 
-def _cmd_enumerate(args, out) -> int:
+def _cmd_enumerate(args) -> tuple[int, str]:
     shape = parse_shape(args.shape)
     content = parse_shape(args.content)
     limit = MAX_N if args.kind in ("srht", "cbt") else MAX_ENUMERATE_N
-    if sum(shape) > limit:
-        raise UsageError("n=%d is above the limit n <= %d" % (sum(shape), limit))
+    _require_size(sum(shape), limit)
     try:
         objects = _ENUMERATORS[args.kind](shape, content)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    for obj in objects:
-        json.dump(obj, out)
-        out.write("\n")
-    return 0
+    return 0, "".join(map(_json_line, objects))
 
 
-def _cmd_pair(args, out) -> int:
-    lam = parse_shape(args.lam)
-    mu = parse_shape(args.mu)
+def _cmd_pair(args) -> tuple[int, str]:
     pair = {"kostka": kostka.kostka_pair, "rimhook": rimhook.rimhook_pair}[args.app]
-    pairing = pair(lam, mu)
-    json.dump(
-        {
-            "kind": pairing.kind,
-            "members": [
-                {"gamma": list(g), "sign": s} for g, s in pairing.members
-            ],
-        },
-        out,
-    )
-    out.write("\n")
-    return 0
+    pairing = pair(*_shape_pair(args))
+    members = [{"gamma": list(g), "sign": s} for g, s in pairing.members]
+    return 0, _json_line({"kind": pairing.kind, "members": members})
 
 
-def _cmd_involute(args, out) -> int:
+def _cmd_involute(args) -> tuple[int, str]:
     try:
         with open(args.input) as handle:
             data = json.load(handle)
@@ -209,12 +198,10 @@ def _cmd_involute(args, out) -> int:
         result.update(image.to_json())
     if trace is not None:
         result["trace"] = trace
-    json.dump(result, out)
-    out.write("\n")
-    return 0
+    return 0, _json_line(result)
 
 
-def _cmd_abacus(args, out) -> int:
+def _cmd_abacus(args) -> tuple[int, str]:
     lam = parse_shape(args.partition)
     if args.beads < len(lam):
         raise UsageError("need at least one bead per part")
@@ -235,9 +222,7 @@ def _cmd_abacus(args, out) -> int:
             "partition": list(moved.partition()),
             "sign": sign,
         }
-    json.dump(result, out)
-    out.write("\n")
-    return 0
+    return 0, _json_line(result)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,9 +285,9 @@ def run(argv: list[str], out=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        if args.command in ("matrix", "verify") and args.n > MAX_N:
-            raise UsageError("n=%d is above the limit n <= %d" % (args.n, MAX_N))
-        return args.func(args, out)
+        if args.command in ("matrix", "verify"):
+            _require_size(args.n, MAX_N)
+        code, text = args.func(args)
     except (UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -312,6 +297,8 @@ def run(argv: list[str], out=None) -> int:
     except AssertionError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 4
+    out.write(text)
+    return code
 
 
 def main() -> None:

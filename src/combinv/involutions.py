@@ -24,6 +24,7 @@ from .core import (
     chain_of,
     compositions,
     filling_of,
+    require_partition,
     rht_sign,
 )
 from .kostka import (
@@ -175,6 +176,7 @@ def f_lambda(
     are built right to left, each starting at the least unused element, so
     the cycle lengths read off in canonical order equal the content of S.
     """
+    require_partition(lam)
     chain, sigma = _decode(lam, choices, ground)
     return filling_of(chain), sigma
 
@@ -249,6 +251,7 @@ def f_mu_rho(
 ) -> tuple[Filling, Permutation]:
     """Survivor with the outermost hook pinned to the removable border
     rim-hook rho = dg(mu) - dg(gamma), given by the shape gamma it leaves."""
+    require_partition(mu, gamma)
     number = border_number_of_hook(tuple(mu), tuple(gamma))
     return f_lambda(mu, (number,) + tuple(choices), ground)
 

@@ -9,6 +9,7 @@ import pytest
 import goldens
 from combinv import cli
 from combinv.core import Filling, compositions
+from combinv.framework import IndexedMatrix
 
 
 def run_cli(*argv):
@@ -237,6 +238,44 @@ class TestLocalAndPair:
     def test_bad_shape_is_usage_error(self):
         code, _ = run_cli("local", "--app", "kostka", "--lambda", "2,x", "--mu", "2,1")
         assert code == 2
+
+    @staticmethod
+    def _stub_systems_and_pairings(monkeypatch, message):
+        def reached(*args):
+            raise AssertionError(message)
+
+        for app in list(cli._SYSTEMS):
+            monkeypatch.setitem(cli._SYSTEMS, app, reached)
+        monkeypatch.setattr(cli.kostka, "kostka_pair", reached)
+        monkeypatch.setattr(cli.rimhook, "rimhook_pair", reached)
+
+    @pytest.mark.parametrize("command, app", [("local", "brick"), ("pair", "rimhook")])
+    def test_size_limit(self, monkeypatch, capsys, command, app):
+        message = "nothing may run above the size limit"
+        self._stub_systems_and_pairings(monkeypatch, message)
+        n = cli.MAX_LOCAL_N + 1
+        row = str(n)
+        argv = [command, "--app", app, "--lambda", row, "--mu", row]
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: n=%d is above the limit n <= %d\n" % (n, n - 1)
+        )
+        assert cli.MAX_LOCAL_N == 90
+
+    @pytest.mark.parametrize("command, app", [("local", "brick"), ("pair", "rimhook")])
+    def test_size_limit_admits_its_bound(self, monkeypatch, command, app):
+        # a stub runs, so the limit let n through
+        self._stub_systems_and_pairings(monkeypatch, "reached")
+        row = str(cli.MAX_LOCAL_N)
+        argv = [command, "--app", app, "--lambda", row, "--mu", row]
+        assert run_cli(*argv) == (4, "")
+
+    @pytest.mark.parametrize("app", ["kostka", "rimhook"])
+    def test_pair_answers_at_the_bound(self, app):
+        ones = ",".join(["1"] * cli.MAX_LOCAL_N)
+        code, text = run_cli("pair", "--app", app, "--lambda", ones, "--mu", ones)
+        assert code == 0
+        assert json.loads(text)["kind"] == "diagonal"
 
 
 class TestEnumerateCommand:
@@ -544,3 +583,124 @@ class TestUsage:
     )
     def test_non_partition_is_usage_error(self, argv):
         assert run_cli(*argv) == (2, "")
+
+
+class _CountingOut(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestOneWriter:
+    """Commands return their stdout text and `run` writes it in one call;
+    no command writes through `json.dump`, whose stream encoder is the
+    pure-Python one."""
+
+    @pytest.fixture(autouse=True)
+    def _no_json_dump(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            pytest.fail("combinv.cli called json.dump")
+
+        monkeypatch.setattr(cli.json, "dump", forbidden)
+
+    @staticmethod
+    def _run(*argv):
+        out = _CountingOut()
+        code = cli.run(list(argv), out)
+        assert out.writes == 1
+        return code, out.getvalue()
+
+    def test_matrix_json(self):
+        code, text = self._run(
+            "matrix", "--app", "brick", "--n", "4", "--side", "Bsq", "--format", "json"
+        )
+        assert code == 0 and text.count("\n") == 1 and text.endswith("\n")
+        data = json.loads(text)
+        entries = [[Fraction(*e) for e in row] for row in data["entries"]]
+        assert IndexedMatrix(data["rows"], data["cols"], entries) == (
+            goldens.BRICK_B4_SQUARE
+        )
+
+    @pytest.mark.parametrize("app, lam, mu, expected", LOCAL_GOLDENS)
+    def test_local(self, app, lam, mu, expected):
+        assert self._run("local", "--app", app, "--lambda", lam, "--mu", mu) == (
+            0, expected + "\n"
+        )
+
+    @pytest.mark.parametrize(
+        "kind, shape, content",
+        [
+            ("ssyt", (4, 3), (2, 3, 2)),
+            ("srht", (3, 3, 3), (3, 2, 4)),
+            ("rht", (3, 2), (2, 2, 1)),
+            ("cbt", (3, 2), (1, 2, 2)),
+            ("obt", (3, 2), (2, 2, 1)),
+        ],
+    )
+    def test_enumerate(self, kind, shape, content):
+        # the lines of the enumerators that ENUMERATE_SHA256 pins
+        objects = cli._ENUMERATORS[kind](shape, content)
+        assert objects
+        expected = "".join(json.dumps(obj) + "\n" for obj in objects)
+        argv = ["enumerate", "--kind", kind, "--shape", ",".join(map(str, shape)),
+                "--content", ",".join(map(str, content))]
+        assert self._run(*argv) == (0, expected)
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["pair", "--app", "rimhook", "--lambda", "9,8,6,6,5,4,4,2",
+                 "--mu", "9,9,9,7,5,3,1,1"],
+                '{"kind": "matched", "members": [{"gamma": [9, 8, 6, 6, 5, 3, 1, 1], '
+                '"sign": 1}, {"gamma": [9, 8, 6, 4, 3, 3, 1, 1], "sign": -1}]}\n',
+            ),
+            (
+                ["abacus", "--partition", "4,3,3,2,2,1", "--beads", "9",
+                 "--move", "10", "5"],
+                '{"abacus": {"beads": 9, "word": "1110101101101"}, "partition": '
+                '[4, 3, 3, 2, 2, 1], "moved": {"abacus": {"beads": 9, "word": '
+                '"1110111101001"}, "partition": [4, 2, 1, 1, 1, 1], "sign": -1}}\n',
+            ),
+        ],
+    )
+    def test_pair_and_abacus(self, argv, expected):
+        assert self._run(*argv) == (0, expected)
+
+    def test_involute_traces(self, tmp_path):
+        kostka_pair = {
+            "S": Filling(((1, 1, 3), (2, 2, 4), (4, 4))).to_json(),
+            "T": Filling(((1, 1), (2, 2), (3, 4), (4, 4))).to_json(),
+        }
+        rimhook_triple = {
+            "S": Filling(((1, 1, 3, 3), (1, 2, 3), (2, 2), (2,))).to_json(),
+            "T": Filling(((1, 1, 2, 2), (1, 2, 2), (3, 3, 3))).to_json(),
+            "sigma": {
+                "ground": list(range(1, 11)),
+                "cycles": [[5, 8, 6], [2, 10, 9, 4], [1, 3, 7]],
+            },
+        }
+        for app, payload, golden in [
+            ("kostka", kostka_pair, KOSTKA_TRACE_GOLDEN),
+            ("rimhook", rimhook_triple, RIMHOOK_TRACE_GOLDEN),
+        ]:
+            path = tmp_path / ("%s.json" % app)
+            path.write_text(json.dumps(payload))
+            argv = ["involute", "--app", app, "--input", str(path), "--trace"]
+            assert self._run(*argv) == (0, golden + "\n")
+
+    def test_verify_and_errors(self, capsys):
+        assert self._run("verify", "--app", "kostka", "--n", "3") == (
+            0, "inversion n=3: pass\nlocal identities n=3: pass (9 pairs)\n"
+        )
+        # a refused command writes nothing to stdout
+        out = _CountingOut()
+        argv = ["local", "--app", "kostka", "--lambda", "3", "--mu", "2"]
+        assert cli.run(argv, out) == 2
+        assert (out.writes, out.getvalue()) == (0, "")
+        err = capsys.readouterr().err
+        assert err == "error: shapes must have equal positive size\n"

@@ -181,6 +181,18 @@ class TestChoiceSequences:
         with pytest.raises(ValueError):
             f_lambda((2, 1), (1, 1, 1), ground=(1, 2))
 
+    @pytest.mark.parametrize("lam", [(1, 2), (2, 0, 1)])
+    def test_non_partition_shape(self, lam):
+        with pytest.raises(ValueError, match="is not a partition"):
+            f_lambda(lam, (1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "mu, gamma", [((1, 2), (1,)), ((2, 0, 1), (2,)), ((3, 1), (1, 2))]
+    )
+    def test_pinned_non_partition_shape(self, mu, gamma):
+        with pytest.raises(ValueError, match="is not a partition"):
+            f_mu_rho(mu, gamma, (1, 1))
+
     def test_pinned_single_cell(self):
         filling, sigma = f_mu_rho((1,), (), ())
         assert filling == Filling(((1,),))
