@@ -68,14 +68,18 @@ def sub_multisets_of_size(mu: Partition, removed: int) -> list[Partition]:
     """Sub-multisets of mu obtained by deleting parts summing to `removed`,
     by the number of each distinct part deleted, larger parts varying
     slowest, most first."""
-    takes = [((), removed)]  # (deleted parts, size left to delete)
+    takes = [((), removed)]  # (kept parts, size left to delete)
+    below = sum(mu)  # total of the parts not yet decided
     for value in sorted(set(mu), reverse=True):
+        count = multiplicity(mu, value)
+        below -= count * value
         takes = [
-            (acc + (value,) * take, left - take * value)
-            for acc, left in takes
-            for take in range(min(multiplicity(mu, value), left // value), -1, -1)
+            (kept + (value,) * (count - take), left - take * value)
+            for kept, left in takes
+            for take in range(min(count, left // value), -1, -1)
+            if left - take * value <= below
         ]
-    return [multiset_diff(mu, acc) for acc, left in takes if not left]
+    return [kept for kept, left in takes if not left]
 
 
 def obt_system() -> LocalSystem:

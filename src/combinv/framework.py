@@ -10,8 +10,10 @@ Two primitives on sparse dict rows carry the rest: the one-step matrix
 are `_cross` of two sparse tables, read by one reader for the stored entries
 and the diagonal: A_n * B_n = I globally (`verify_inversion`, the two
 level-n recursion tables) and one shape pair at a time (`verify_local`, the
-product D_A * D_B^T of the level-n step rows).  `IndexedMatrix` is only the
-dense output form that `build_A` and `build_B` fill from those tables.
+product D_A * D_B^T of the level-n step rows).  The reader scales each row
+by the lcm of its entry denominators first, so every product is an int
+product.  `IndexedMatrix` is only the dense output form that `build_A` and
+`build_B` fill from those tables.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .core import (
@@ -266,17 +269,41 @@ class LocalReport:
         return not self.failures
 
 
+def _scaled(rows: dict) -> tuple[dict, dict]:
+    """Each row times D, the lcm of its entry denominators, as int rows,
+    and {shape: D}.  A row of ints is kept as it is, with D = 1."""
+    scaled, scales = {}, {}
+    for shape, row in rows.items():
+        if all(type(v) is int for v in row.values()):
+            scaled[shape], scales[shape] = row, 1
+            continue
+        d = lcm(*(v.denominator for v in row.values()))
+        scaled[shape] = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
+        scales[shape] = d
+    return scaled, scales
+
+
 def _off_identity(left: dict, right: dict) -> list[tuple[Shape, Shape, int | Fraction]]:
     """The (lam, mu, value) where the product left * right^T of two sparse
     tables over the same shapes differs from the identity, in the order of
     left's rows.  Only the stored entries of the product and the diagonal
-    can differ."""
-    failures = [
-        (lam, mu, v)
-        for lam, row in _cross(left, right).items()
-        for mu, v in {lam: 0, **row}.items()
-        if v != int(lam == mu)
-    ]
+    can differ.
+
+    Each row of either table is first scaled by D, the lcm of its entry
+    denominators, so `_cross` multiplies only ints: the scaled entry v at
+    (lam, mu) is D_lam * D_mu times the true one, which is checked against
+    D_lam * D_mu * delta(lam, mu) and reported as v / (D_lam * D_mu), an
+    int when that divides and a Fraction otherwise.
+    """
+    left, d_left = _scaled(left)
+    right, d_right = _scaled(right)
+    failures = []
+    for lam, row in _cross(left, right).items():
+        d_lam = d_left[lam]
+        for mu, v in {lam: 0, **row}.items():
+            d = d_lam * d_right[mu]
+            if v != d * (lam == mu):
+                failures.append((lam, mu, v // d if v % d == 0 else Fraction(v, d)))
     order = {shape: i for i, shape in enumerate(left)}
     failures.sort(key=lambda f: (order[f[0]], order[f[1]]))
     return failures

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -189,6 +190,23 @@ class TestSystemPieces:
     def test_sub_multisets(self):
         assert set(sub_multisets_of_size((2, 1, 1), 2)) == {(2,), (1, 1)}
         assert sub_multisets_of_size((2, 1), 4) == []
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sub_multisets_match_brute_force(self, n):
+        # the distinct deleted sub-multisets among all combinations of parts,
+        # ordered by the number of each distinct part deleted, larger parts
+        # varying slowest, most first
+        for mu in partitions(n):
+            values = sorted(set(mu), reverse=True)
+            deleted = {d for r in range(len(mu) + 1) for d in combinations(mu, r)}
+            for removed in range(1, n + 2):
+                listed = sorted(
+                    (d for d in deleted if sum(d) == removed),
+                    key=lambda d: [d.count(v) for v in values],
+                    reverse=True,
+                )
+                expected = [multiset_diff(mu, d) for d in listed]
+                assert sub_multisets_of_size(mu, removed) == expected, (mu, removed)
 
     @pytest.mark.parametrize("n", range(8))
     def test_closed_b_matches_recursion(self, n):

@@ -14,6 +14,7 @@ import oracles
 from combinv import framework
 from combinv.core import compositions, partitions, walk_chains
 from combinv.framework import (
+    IndexedMatrix,
     build_A,
     build_B,
     check_sorting_condition,
@@ -29,7 +30,7 @@ from combinv.kostka import kostka_system
 from combinv.refine import refine_system, weighted_system
 from combinv.rimhook import rimhook_system
 from combinv.brick import obt_system
-from oracles import is_identity_product
+from oracles import dense_product, is_identity_product
 
 ALL_SYSTEMS = [kostka_system, rimhook_system, refine_system, weighted_system, obt_system]
 
@@ -158,14 +159,14 @@ class TestInversionAndLocal:
         assert not verify_inversion(system, 3)
 
 
-def _shifted_b(system):
-    """The system with 1/3 added to every B-side weight at a two-part shape."""
-    weight_b = system.weight_b
+def _shifted(system, side="b"):
+    """The system with 1/3 added to every weight of one side at a two-part shape."""
+    weight = getattr(system, "weight_" + side)
 
-    def shifted(mu, delta):
-        return weight_b(mu, delta) + (Fraction(1, 3) if len(mu) == 2 else 0)
+    def shifted(shape, gamma):
+        return weight(shape, gamma) + (Fraction(1, 3) if len(shape) == 2 else 0)
 
-    return replace(system, weight_b=shifted)
+    return replace(system, **{"weight_" + side: shifted})
 
 
 def _pairwise_failures(system, n):
@@ -179,7 +180,7 @@ class TestLocalProduct:
     @pytest.mark.parametrize("make", ALL_SYSTEMS)
     @pytest.mark.parametrize("perturb", [False, True])
     def test_failures_match_pairwise_local_lhs(self, make, perturb):
-        system = _shifted_b(make()) if perturb else make()
+        system = _shifted(make()) if perturb else make()
         for n in range(1, 7):
             expected = _pairwise_failures(system, n)
             report = verify_local(system, n)
@@ -322,6 +323,78 @@ class TestSparseInversion:
             assert verify_inversion(system, n)
         assert len(operands) == 16
         assert all(all(row.values()) for table in operands for row in table.values())
+
+
+def _dense_step(system, n, side):
+    """The one-step matrix of one side over R(n) x (R(0) + ... + R(n-1)),
+    dense, straight from the callbacks."""
+    succ = getattr(system, "succ_" + side)
+    weight = getattr(system, "weight_" + side)
+    lower = [g for m in range(n) for g in system.shapes(m)]
+    rows = []
+    for shape in system.shapes(n):
+        steps = {g for length in range(1, n + 1) for g in succ(shape, length)}
+        rows.append([weight(shape, g) if g in steps else 0 for g in lower])
+    return IndexedMatrix(system.shapes(n), lower, rows)
+
+
+def _transposed(matrix):
+    columns = [list(column) for column in zip(*matrix.entries)]
+    return IndexedMatrix(matrix.col_keys, matrix.row_keys, columns)
+
+
+def _dense_failures(left, right):
+    """The entries of left * right, by the dense product, where it differs
+    from the identity, each with its exact type: an int when it is
+    integral, a Fraction otherwise."""
+    failures = []
+    for i, row in enumerate(dense_product(left, right)):
+        for j, value in enumerate(row):
+            if value != (i == j):
+                exact = value.numerator if value.denominator == 1 else value
+                failures.append((left.row_keys[i], right.col_keys[j], exact))
+    return failures
+
+
+def _typed(failures):
+    return [(lam, mu, type(v), v) for lam, mu, v in failures]
+
+
+class TestScaledProduct:
+    # the B weights of these systems divide, so their rows carry denominators
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("make", [rimhook_system, obt_system, weighted_system])
+    def test_failure_values_match_dense_products(self, make, side):
+        system = _shifted(make(), side)
+        types = set()
+        for n in range(1, 7):
+            local = _dense_failures(
+                _dense_step(system, n, "a"), _transposed(_dense_step(system, n, "b"))
+            )
+            assert _typed(verify_local(system, n).failures) == _typed(local)
+            table_a = framework._recursion(system, n, system.succ_a, system.weight_a)
+            table_b = framework._recursion(system, n, system.succ_b, system.weight_b)
+            inversion = _dense_failures(build_A(system, n), build_B(system, n))
+            assert _typed(framework._off_identity(table_a, table_b)) == _typed(inversion)
+            types.update(type(v) for _, _, v in local + inversion)
+        # a failure is an int where its scaled value divides, a Fraction
+        # otherwise; the B-side shift gives both kinds, the A-side one only
+        # Fractions
+        assert types == ({int, Fraction} if side == "b" else {Fraction})
+
+    def test_product_sees_only_ints(self, monkeypatch):
+        cross = framework._cross
+
+        def int_only(left, right):
+            for table in (left, right):
+                for row in table.values():
+                    assert all(type(v) is int for v in row.values()), row
+            return cross(left, right)
+
+        monkeypatch.setattr(framework, "_cross", int_only)
+        for make in ALL_SYSTEMS:
+            assert verify_inversion(make(), 6)
+            assert verify_local(make(), 6).passed
 
 
 class TestExactWeights:
