@@ -7,6 +7,16 @@ survivor for its uniquely-matched partner via the local pairing, then
 restore the stripped structures with renumbered labels.  The rim-hook
 variant additionally transports a permutation through choice sequences, so
 that the diagonal fixed-point count is exactly n! per shape.
+
+An exhaustive audit meets the same shapes, chains and tableaux over and over.
+Each pair or triple carries a `_Memo`, which does the pure work it is asked
+for once per distinct input: the local pairing at (lam_bar, mu_bar), the
+tableau check of a (chain, shape, content), chain_of / filling_of, a
+Filling's content, a chain's sign and the choice-sequence transport.  The
+pair set of one `verify_pairing` call shares one memo and every image the
+involutions build carries its input's; a pair or triple built by any other
+caller starts a fresh one.  No memo is kept at module level, so none outlives
+the objects that carry it.
 """
 
 from __future__ import annotations
@@ -48,6 +58,23 @@ from .rimhook import (
 ChoiceSequence = tuple[int, ...]
 
 
+class _Memo:
+    """Calls a pure function once per distinct argument tuple."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self):
+        self._values: dict[tuple, object] = {}
+
+    def __call__(self, fn, *args):
+        key = (fn, *args)
+        try:
+            return self._values[key]
+        except KeyError:
+            value = self._values[key] = fn(*args)
+            return value
+
+
 def _trace_step(trace, action: str, before, after):
     if trace is not None:
         trace.append({"action": action, "before": before, "after": after})
@@ -59,9 +86,11 @@ def _trace_chains(trace, action: str, label: int, s: Chain, t: Chain):
         _trace_step(trace, action, {"label": label}, after)
 
 
-def _strip_and_swap(s: Chain, t: Chain, pair_at, trace) -> tuple[int, Partition]:
+def _strip_and_swap(
+    s: Chain, t: Chain, pair_at, memo: _Memo, trace
+) -> tuple[int, Partition]:
     """Strip labels off two distinct chains of one length until they agree,
-    then swap the survivor through the local pairing.
+    then swap the survivor through the local pairing, looked up in memo.
 
     Returns j, the last index where the chains agree, and the partner of the
     survivor shape s[j] in pair_at(s[j+1], t[j+1]).
@@ -72,7 +101,7 @@ def _strip_and_swap(s: Chain, t: Chain, pair_at, trace) -> tuple[int, Partition]
     for label in range(len(s) - 1, j, -1):
         _trace_chains(trace, "strip", label, s[:label], t[:label])
     gamma, lam_bar, mu_bar = s[j], s[j + 1], t[j + 1]
-    gamma_new = pair_at(lam_bar, mu_bar).partner_of(gamma)
+    gamma_new = memo(pair_at, lam_bar, mu_bar).partner_of(gamma)
     _trace_step(
         trace,
         "local_pair",
@@ -83,18 +112,41 @@ def _strip_and_swap(s: Chain, t: Chain, pair_at, trace) -> tuple[int, Partition]
 
 
 def _restore(
-    cls, s_head: Chain, t_head: Chain, s: Chain, t: Chain, j: int, trace, *rest
+    source, s_head: Chain, t_head: Chain, j: int, trace, *rest
 ) -> KostkaPair | RhtTriple:
-    """Push the shapes stripped above index j+1 back onto the new heads, and
-    build the output pair or triple of class cls from the two chains: its
+    """Push the shapes of source stripped above index j+1 back onto the new
+    heads, and build the output pair or triple from the two chains: its
     constructor checks them instead of deriving them again."""
+    s, t = source._chains
     for k in range(j + 2, len(s)):
         s_head, t_head = s_head + (s[k],), t_head + (t[k],)
         _trace_chains(trace, "restore", len(s_head) - 1, s_head, t_head)
+    memo = source._memo
+    fillings = memo(filling_of, s_head), memo(filling_of, t_head)
+    seeds = {"_memo": memo, "_chains": (s_head, t_head)}
+    return _build(type(source), seeds, *fillings, *rest)
+
+
+def _build(cls, seeds: dict, *fields) -> KostkaPair | RhtTriple:
+    """The pair or triple cls(*fields) with its cached properties seeded
+    from seeds before the constructor checks it."""
     obj = cls.__new__(cls)
-    vars(obj)["_chains"] = (s_head, t_head)  # seeds the cached property
-    obj.__init__(filling_of(s_head), filling_of(t_head), *rest)
+    vars(obj).update(seeds)
+    obj.__init__(*fields)
     return obj
+
+
+class _TableauPair:
+    """The memo and the two chains of a pair or triple with fillings s, t:
+    chain_of of each, None for a filling that is no tableau."""
+
+    @cached_property
+    def _memo(self) -> _Memo:
+        return _Memo()
+
+    @cached_property
+    def _chains(self) -> tuple[Chain | None, Chain | None]:
+        return self._memo(chain_of, self.s), self._memo(chain_of, self.t)
 
 
 def _row_chain(lam: Partition) -> Chain:
@@ -107,29 +159,26 @@ def _row_chain(lam: Partition) -> Chain:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class KostkaPair:
+class KostkaPair(_TableauPair):
     """A semistandard tableau and a special rim-hook tableau of one content."""
 
     s: Filling
     t: Filling
 
     def __post_init__(self):
-        beta = self.s.content()
-        if beta != self.t.content():
+        memo = self._memo
+        beta = memo(Filling.content, self.s)
+        if beta != memo(Filling.content, self.t):
             raise ValueError("contents disagree")
         s, t = self._chains
-        if s is None or not is_ssyt(s, self.s.shape, beta):
+        if s is None or not memo(is_ssyt, s, self.s.shape, beta):
             raise ValueError("first component is not semistandard")
-        if t is None or not is_srht(t, self.t.shape, beta):
+        if t is None or not memo(is_srht, t, self.t.shape, beta):
             raise ValueError("second component is not a special rim-hook tableau")
-
-    @cached_property
-    def _chains(self) -> tuple[Chain | None, Chain | None]:
-        return chain_of(self.s), chain_of(self.t)
 
     @property
     def sign(self) -> int:
-        return rht_sign(self._chains[1])
+        return self._memo(rht_sign, self._chains[1])
 
     def to_json(self) -> dict:
         return {"S": self.s.to_json(), "T": self.t.to_json()}
@@ -141,6 +190,7 @@ class KostkaPair:
 
 def kostka_survivor(lam: Partition) -> KostkaPair:
     """The unique pair with equal components: row i filled with i, twice."""
+    require_partition(lam)
     filling = filling_of(_row_chain(lam))
     return KostkaPair(filling, filling)
 
@@ -156,9 +206,9 @@ def kostka_involution(pair: KostkaPair, trace: list | None = None) -> KostkaPair
         if s != _row_chain(s[-1]):
             raise AssertionError("equal components must form the survivor")
         return None
-    j, gamma_new = _strip_and_swap(s, t, kostka_pair, trace)
+    j, gamma_new = _strip_and_swap(s, t, kostka_pair, pair._memo, trace)
     head = _row_chain(gamma_new)
-    return _restore(KostkaPair, head + (s[j + 1],), head + (t[j + 1],), s, t, j, trace)
+    return _restore(pair, head + (s[j + 1],), head + (t[j + 1],), j, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +316,7 @@ def f_mu_rho_inv(filling: Filling, sigma: Permutation) -> ChoiceSequence:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RhtTriple:
+class RhtTriple(_TableauPair):
     """Two rim-hook tableaux of one content and a permutation realizing it."""
 
     s: Filling
@@ -274,22 +324,20 @@ class RhtTriple:
     sigma: Permutation
 
     def __post_init__(self):
-        beta = self.s.content()
-        if beta != self.t.content() or beta != cyc_comp(self.sigma):
+        memo = self._memo
+        beta = memo(Filling.content, self.s)
+        if beta != memo(Filling.content, self.t) or beta != cyc_comp(self.sigma):
             raise ValueError("contents and cycle composition must all agree")
         s, t = self._chains
-        if s is None or not is_rht(s, self.s.shape, beta):
+        if s is None or not memo(is_rht, s, self.s.shape, beta):
             raise ValueError("first component is not a rim-hook tableau")
-        if t is None or not is_rht(t, self.t.shape, beta):
+        if t is None or not memo(is_rht, t, self.t.shape, beta):
             raise ValueError("second component is not a rim-hook tableau")
-
-    @cached_property
-    def _chains(self) -> tuple[Chain | None, Chain | None]:
-        return chain_of(self.s), chain_of(self.t)
 
     @property
     def sign(self) -> int:
-        return rht_sign(self._chains[0]) * rht_sign(self._chains[1])
+        s, t = self._chains
+        return self._memo(rht_sign, s) * self._memo(rht_sign, t)
 
     def to_json(self) -> dict:
         return {
@@ -307,6 +355,18 @@ class RhtTriple:
         )
 
 
+def _transport(
+    t_head: Chain, cycles: tuple[tuple[int, ...], ...], gamma: Partition
+) -> tuple[Chain, Permutation]:
+    """Carry the survivor pinned at t_head[-2], whose permutation has these
+    canonical cycles, through its choice sequence to the survivor pinned at
+    gamma: f_mu_rho(mu, gamma, f_mu_rho_inv(...)) on chains, mu = t_head[-1]."""
+    sigma = Permutation.from_cycles(list(cycles))
+    seq = _encode(t_head, sigma)[1:]
+    mu = t_head[-1]
+    return _decode(mu, (border_number_of_hook(mu, gamma),) + seq, sigma.ground)
+
+
 def rht_involution(triple: RhtTriple, trace: list | None = None) -> RhtTriple | None:
     """Apply the rim-hook involution; None marks the n! diagonal fixed points.
 
@@ -317,20 +377,18 @@ def rht_involution(triple: RhtTriple, trace: list | None = None) -> RhtTriple | 
     s, t = triple._chains
     if s == t:
         return None
-    j, gamma_new = _strip_and_swap(s, t, rimhook_pair, trace)
+    j, gamma_new = _strip_and_swap(s, t, rimhook_pair, triple._memo, trace)
     cycles = triple.sigma.canonical_cycles()
-    sigma_prime = Permutation.from_cycles(list(cycles[: j + 1]))
-    mu_bar = t[j + 1]
-    seq = _encode(t[: j + 2], sigma_prime)[1:]
-    number = border_number_of_hook(mu_bar, gamma_new)
-    head, sigma_next = _decode(mu_bar, (number,) + seq, sigma_prime.ground)
+    t_head = t[: j + 2]
+    head, sigma_next = triple._memo(_transport, t_head, cycles[: j + 1], gamma_new)
     if trace is not None:
-        before = {"T": filling_of(t[: j + 2]).to_json(), "sigma": sigma_prime.to_json()}
+        sigma_prime = Permutation.from_cycles(list(cycles[: j + 1]))
+        before = {"T": filling_of(t_head).to_json(), "sigma": sigma_prime.to_json()}
         after = {"T": filling_of(head).to_json(), "sigma": sigma_next.to_json()}
         _trace_step(trace, "f_transport", before, after)
     out_cycles = sigma_next.canonical_cycles() + cycles[j + 1 :]
     sigma_out = Permutation.from_cycles(list(out_cycles))
-    return _restore(RhtTriple, head[:-1] + (s[j + 1],), head, s, t, j, trace, sigma_out)
+    return _restore(triple, head[:-1] + (s[j + 1],), head, j, trace, sigma_out)
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +421,22 @@ class PairingReport:
 
 
 def _all_kostka_pairs(lam: Partition, mu: Partition) -> list[KostkaPair]:
+    """The pair set of (lam, mu), every pair sharing one fresh memo."""
+    seeds = {"_memo": _Memo()}
     out = []
     for beta in compositions(sum(lam)):
         found = srht_find(mu, beta)
         if found is None:
             continue
         for s in enumerate_ssyt(lam, beta):
-            out.append(KostkaPair(s, found[0]))
+            out.append(_build(KostkaPair, seeds, s, found[0]))
     return out
 
 
 def _all_rht_triples(lam: Partition, mu: Partition) -> list[RhtTriple]:
+    """The triple set of (lam, mu), every triple sharing one fresh memo; the
+    n! permutations are grouped by cycle composition once."""
+    seeds = {"_memo": _Memo()}
     n = sum(lam)
     by_content: dict[Composition, list[Permutation]] = {}
     for perm in _itertools_permutations(range(1, n + 1)):
@@ -388,14 +451,21 @@ def _all_rht_triples(lam: Partition, mu: Partition) -> list[RhtTriple]:
         for s, _ in left:
             for t, _ in right:
                 for sigma in sigmas:
-                    out.append(RhtTriple(s, t, sigma))
+                    out.append(_build(RhtTriple, seeds, s, t, sigma))
     return out
 
 
 def verify_pairing(app: str, lam: Partition, mu: Partition) -> PairingReport:
     """Run the involution over the whole pair set for (lam, mu) and audit it:
     map o map = id, sign reversal off fixed points, shape preservation, and
-    the fixed-point census matching the matrix identity."""
+    the fixed-point census matching the matrix identity.
+
+    The pair set shares one memo made for this call and every image carries
+    it, so each distinct local pairing, tableau check, chain <-> Filling
+    conversion and transport is worked once per call, while every object is
+    still put through all the constructor's checks.  Nothing of the memo
+    outlives the call: a pairing patched between two calls is seen by the
+    second."""
     if sum(lam) != sum(mu):
         raise ValueError("size mismatch")
     if app == "kostka":

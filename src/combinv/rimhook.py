@@ -261,7 +261,7 @@ def rimhook_pair(lam: Partition, mu: Partition) -> Pairing:
 class Permutation:
     """A bijection on an arbitrary finite set of integers."""
 
-    __slots__ = ("ground", "mapping")
+    __slots__ = ("ground", "mapping", "_cycles")
 
     def __init__(self, mapping: dict[int, int]):
         self.ground = tuple(sorted(mapping))
@@ -289,7 +289,12 @@ class Permutation:
         return cls({x: x for x in ground})
 
     def canonical_cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Each cycle starts at its minimum; minima decrease left to right."""
+        """Each cycle starts at its minimum; minima decrease left to right.
+        Worked out on the first call and kept with the permutation."""
+        try:
+            return self._cycles
+        except AttributeError:
+            pass
         seen: set[int] = set()
         cycles = []
         for start in self.ground:
@@ -304,7 +309,8 @@ class Permutation:
                 nxt = self.mapping[nxt]
             cycles.append(tuple(cyc))
         cycles.sort(key=lambda c: -c[0])
-        return tuple(cycles)
+        self._cycles = tuple(cycles)
+        return self._cycles
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.mapping == other.mapping

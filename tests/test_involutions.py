@@ -35,6 +35,11 @@ class TestKostkaSurvivor:
         assert pair.s == expected and pair.t == expected
         assert pair.sign == 1
 
+    @pytest.mark.parametrize("lam", [(1, 2), (2, 0)])
+    def test_non_partition_shape(self, lam):
+        with pytest.raises(ValueError, match="is not a partition"):
+            kostka_survivor(lam)
+
     def test_small_cases(self):
         assert kostka_survivor(()).s == Filling(())
         assert kostka_survivor((2, 2)).s == Filling(((1, 1), (2, 2)))
@@ -271,23 +276,6 @@ class TestRhtInvolution:
                 report = verify_pairing("rimhook", lam, mu)
                 assert report.passed, report
 
-    def test_chain_of_runs_at_most_twice_per_object(self, monkeypatch):
-        # each pair or triple derives its two chains once, when it is built
-        # from Fillings; the involutions build their images from chains
-        calls = []
-
-        def counting(filling):
-            calls.append(filling)
-            return chain_of(filling)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "combinv":
-                if getattr(module, "chain_of", None) is chain_of:
-                    monkeypatch.setattr(module, "chain_of", counting)
-        report = verify_pairing("rimhook", (3, 1, 1), (3, 1, 1))
-        assert report.passed and report.size == 280
-        assert 0 < len(calls) <= 2 * report.size
-
     @pytest.mark.parametrize("app, n", [("kostka", 5), ("rimhook", 4)])
     def test_images_match_the_public_constructor(self, app, n):
         # an image built from chains equals the one its JSON rebuilds
@@ -322,3 +310,58 @@ class TestRhtInvolution:
         assert report.signed_total == 6
         cross = verify_pairing("kostka", (4,), (1, 1, 1, 1))
         assert cross.fixed_points == 0 and cross.signed_total == 0
+
+
+class TestAuditMemo:
+    @pytest.mark.parametrize(
+        "app, lam, mu, size",
+        [("kostka", (3, 2), (1,) * 5, 28), ("rimhook", (3, 1, 1), (3, 1, 1), 280)],
+    )
+    def test_chain_of_runs_once_per_distinct_filling(self, monkeypatch, app, lam, mu, size):
+        # the enumerators hand the audit Fillings; each distinct one is
+        # turned into its chain once, and the images are built from chains
+        calls = []
+
+        def counting(filling):
+            calls.append(filling)
+            return chain_of(filling)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "combinv":
+                if getattr(module, "chain_of", None) is chain_of:
+                    monkeypatch.setattr(module, "chain_of", counting)
+        report = verify_pairing(app, lam, mu)
+        assert report.passed and report.size == size
+        assert len(calls) == len(set(calls)) > 0
+
+    @pytest.mark.parametrize(
+        "app, lam, mu, target",
+        [
+            ("kostka", (3, 1), (2, 1, 1), ((3,), (2, 1))),
+            ("rimhook", (2, 1), (2, 1), ((2,), (1, 1))),
+        ],
+    )
+    def test_each_audit_sees_the_live_pairing(self, monkeypatch, app, lam, mu, target):
+        from combinv import involutions
+
+        # while broken, the pairing sends every shape at target to itself, so
+        # those images keep their sign; nothing one audit memoizes may reach
+        # the next, as the pairing is one function whose answers change
+        name = {"kostka": "kostka_pair", "rimhook": "rimhook_pair"}[app]
+        original = getattr(involutions, name)
+        live = {"broken": True}
+
+        class Stuck:
+            def partner_of(self, gamma):
+                return gamma
+
+        def pairing(lam_bar, mu_bar):
+            if live["broken"] and (lam_bar, mu_bar) == target:
+                return Stuck()
+            return original(lam_bar, mu_bar)
+
+        monkeypatch.setattr(involutions, name, pairing)
+        for broken in (True, False, True):
+            live["broken"] = broken
+            report = verify_pairing(app, lam, mu)
+            assert report.passed != broken, report
