@@ -18,7 +18,6 @@ from .framework import (
     build_A,
     build_B,
     check_sorting_condition,
-    local_lhs,
     local_terms,
     square_fold_B,
     square_restrict_A,

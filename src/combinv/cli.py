@@ -25,8 +25,21 @@ from .framework import (
     verify_local,
 )
 
-# Above this n, `matrix` and `verify` are refused: some app's `verify` takes over 60 s.
+# Above this n, `matrix` is refused, and `verify` for the apps that
+# compositions index: their tables hold 3^(n-1) entries.
 MAX_N = 12
+
+# Above these n, `verify` is refused.  kostka, rimhook and brick check the
+# global identity on P(n) alone; in-process global + local check at the
+# bound, two runs each on a 2-vCPU Intel Xeon with CPython 3.11.7: kostka
+# n = 18 2.1-2.4 s, brick n = 18 2.0-2.4 s, rimhook n = 16 2.6-3.1 s.
+MAX_VERIFY_N = {
+    "kostka": 18,
+    "rimhook": 16,
+    "refine": MAX_N,
+    "refine-weighted": MAX_N,
+    "brick": 18,
+}
 
 # Above this n = |shape|, `enumerate` refuses the kinds that list every object
 # before printing the first (obt at 1^9 lists 9! tabloids in about 0.8 GiB);
@@ -285,8 +298,10 @@ def run(argv: list[str], out=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        if args.command in ("matrix", "verify"):
+        if args.command == "matrix":
             _require_size(args.n, MAX_N)
+        elif args.command == "verify":
+            _require_size(args.n, MAX_VERIFY_N[args.app])
         code, text = args.func(args)
     except (UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -3,17 +3,28 @@
 A `LocalSystem` packages the data each application supplies: the shape sets
 R(n), the one-step successor sets for both matrix families, and the two
 weight functions.  A weight is exact: an int, or a Fraction where it divides.
-Two primitives on sparse dict rows carry the rest: the one-step matrix
-`_step_rows` (D(shape, gamma) = weight over R(m)) and the one product
-`_cross` (X * Y^T).  One recursion sweeps the step rows up from level
-0 to the level-n sparse tables {shape: {beta: entry}}.  Both identities
-are `_cross` of two sparse tables, read by one reader for the stored entries
-and the diagonal: A_n * B_n = I globally (`verify_inversion`, the two
-level-n recursion tables) and one shape pair at a time (`verify_local`, the
-product D_A * D_B^T of the level-n step rows).  The reader scales each row
-by the lcm of its entry denominators first, so every product is an int
-product.  `IndexedMatrix` is only the dense output form that `build_A` and
-`build_B` fill from those tables.
+
+Every table row is a pair (E, {key: int}): an int row over E, its least
+common denominator, whose true entry is int / E.  Two primitives on such
+rows carry the rest: the one-step matrix `_step_rows` (D(shape, gamma) =
+weight over R(m)) and the one product `_cross` (X * Y^T), which multiplies
+ints only.  One recursion sweeps the step rows up from level 0 to the
+level-n sparse tables {shape: (E, {beta: int})} without building a
+Fraction.  Both identities are `_cross` of two sparse tables, read by one
+reader for the stored entries and the diagonal: A_n * B_n = I globally
+(`verify_inversion`, the two level-n recursion tables) and one shape pair
+at a time (`verify_local`, the product D_A * D_B^T of the level-n step
+rows).
+
+When R(n) is the partitions of n (kostka, rimhook, brick), the global check
+runs on P(n) alone.  The recursion's one optional key rule builds A_sq, the
+A table at partition columns, and B_fold, the B table summed over the
+rearrangements of each column, and A_sq * B_fold^T = A * B^T holds under
+the sorting condition A(lam, beta) = A(lam, sort beta).
+
+`IndexedMatrix` is only the dense output form that `build_A` and `build_B`
+fill from the rectangular tables, one Fraction per nonzero entry of a row
+with E > 1.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable
 
 from .core import (
@@ -161,21 +172,31 @@ def _weigh(weight: Weight, shape: Shape, gamma: Shape) -> int | Fraction:
 
 
 def _step_rows(system: LocalSystem, m: int, succ: Succ, weight: Weight) -> dict:
-    """The one-step matrix {shape: {gamma: weight(shape, gamma)}} over R(m)."""
-    shapes = system.shapes(m)
-    return {s: {g: _weigh(weight, s, g) for g in _successors(s, succ)} for s in shapes}
+    """The one-step matrix D(shape, gamma) = weight(shape, gamma) over R(m), as
+    {shape: (D, {gamma: int})}: each row is an int row over its least common
+    denominator D, and its true entry is int / D."""
+    rows = {}
+    for s in system.shapes(m):
+        step = {g: _weigh(weight, s, g) for g in _successors(s, succ)}
+        if Fraction not in map(type, step.values()):
+            rows[s] = (1, step)
+            continue
+        d = lcm(*(w.denominator for w in step.values()))
+        rows[s] = (d, {g: w.numerator * (d // w.denominator) for g, w in step.items()})
+    return rows
 
 
 def _cross(left: dict, right: dict) -> dict:
-    """The sparse product left * right^T of two sets of dict rows:
-    {lam: {mu: sum over shared keys k of left[lam][k] * right[mu][k]}}.
-    A pair (lam, mu) that shares no key is absent, a zero entry."""
+    """The sparse product left * right^T of two sets of (D, int row) rows:
+    {lam: {mu: sum over shared keys k of left[lam][k] * right[mu][k]}}, the
+    int rows multiplied as they are, their denominators not applied.  A pair
+    (lam, mu) that shares no key is absent, a zero entry."""
     by_key: dict = {}
-    for mu, row in right.items():
+    for mu, (_, row) in right.items():
         for k, value in row.items():
             by_key.setdefault(k, []).append((mu, value))
     product = {}
-    for lam, row in left.items():
+    for lam, (_, row) in left.items():
         sums = product[lam] = {}
         for k, value in row.items():
             for mu, other in by_key.get(k, ()):
@@ -183,45 +204,104 @@ def _cross(left: dict, right: dict) -> dict:
     return product
 
 
-def _recursion(system: LocalSystem, n: int, succ: Succ, weight: Weight) -> dict:
-    """The sparse table {shape: {beta: entry}} of M_n over R(n) x C(n), built
-    up from M_0 = [1] by
+def _append_part(nu: Shape, length: int) -> Shape | None:
+    """nu + (length,) when that is a partition, else None: the column keys
+    of A_sq, the A table at partition columns only."""
+    return nu + (length,) if not nu or nu[-1] >= length else None
+
+
+def _insert_part(nu: Shape, length: int) -> Shape:
+    """The partition nu with one more part, length: the column keys of
+    B_fold, the B table summed over the rearrangements of each key."""
+    i = len(nu)
+    while i and nu[i - 1] < length:
+        i -= 1
+    return nu[:i] + (length,) + nu[i:]
+
+
+def _recursion(
+    system: LocalSystem,
+    n: int,
+    succ: Succ,
+    weight: Weight,
+    extend: Callable[[Shape, int], Shape | None] | None = None,
+) -> dict:
+    """The sparse table {shape: (E, {beta: int})} of M_n over R(n) x C(n),
+    whose entry at (shape, beta) is int / E, built up from M_0 = [1] by
 
         M_m(s, beta + (L,)) = sum over g in succ(s, L) of weight(s, g) M_{m-L}(g, beta)
 
-    Every level keeps only its nonzero entries, so no product multiplies a
-    cancelled zero.
+    Every row is an int row N over E, its least common denominator, and no
+    Fraction is built.  The step row of s is (d, {g: p}), so a step has
+    weight p / d.  The successor rows (E_g, N_g) are summed as
+    p * (E' / E_g) * N_g over E', the running lcm of their E_g, and the row
+    is scaled up whenever E' grows; then E = d * E', and the gcd of E and
+    the row is divided out.  Every level keeps only its nonzero entries, so
+    no product multiplies a cancelled zero.
+
+    `extend(beta, L)` replaces the column key beta + (L,), and a None from
+    it drops the term: with `_append_part` the table is A_sq, with
+    `_insert_part` it is B_fold (see `verify_inversion`).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     base = system.shapes(0)
     if len(base) != 1:
         raise ValueError("R(0) must contain exactly one shape")
-    levels = [{base[0]: {(): 1}}]
+    levels = [{base[0]: (1, {(): 1})}]
     for m in range(1, n + 1):
         level = {}
-        for shape, step in _step_rows(system, m, succ, weight).items():
-            row = {}
-            for gamma, w in step.items():
+        for shape, (d, step) in _step_rows(system, m, succ, weight).items():
+            e, row = 1, {}
+            for gamma, p in step.items():
                 size = sum(gamma)
-                last = (m - size,)
-                below = levels[size].get(gamma)
-                if below is None:
+                found = levels[size].get(gamma)
+                if found is None:
                     fmt = "successor %r of %r is not in R(%d)"
                     raise ValueError(fmt % (gamma, shape, size))
-                for beta, value in below.items():
-                    key = beta + last
-                    row[key] = row.get(key, 0) + w * value
-            level[shape] = {beta: v for beta, v in row.items() if v}
+                e_g, lower = found
+                if e % e_g:
+                    grow = e_g // gcd(e, e_g)
+                    e *= grow
+                    row = {beta: v * grow for beta, v in row.items()}
+                factor = p * (e // e_g)
+                length = m - size
+                if extend is None:
+                    last = (length,)
+                    for beta, value in lower.items():
+                        key = beta + last
+                        row[key] = row.get(key, 0) + factor * value
+                    continue
+                for beta, value in lower.items():
+                    key = extend(beta, length)
+                    if key is not None:
+                        row[key] = row.get(key, 0) + factor * value
+            row = {beta: v for beta, v in row.items() if v}
+            e *= d
+            if e > 1:
+                g = gcd(e, *row.values())
+                if g > 1:
+                    e //= g
+                    row = {beta: v // g for beta, v in row.items()}
+            level[shape] = (e, row)
         levels.append(level)
     return levels[n]
+
+
+def _entries(table: dict) -> list[dict]:
+    """The rows of a table as {beta: entry}, with one Fraction built per
+    nonzero entry of a row whose denominator is above 1."""
+    return [
+        row if e == 1 else {beta: Fraction(v, e) for beta, v in row.items()}
+        for e, row in table.values()
+    ]
 
 
 def build_A(system: LocalSystem, n: int) -> IndexedMatrix:
     """R(n) x C(n) matrix of the recursion with the A-side successors and weights."""
     top = _recursion(system, n, system.succ_a, system.weight_a)
     comps = compositions(n)
-    entries = [[row.get(b, 0) for b in comps] for row in top.values()]
+    entries = [[row.get(b, 0) for b in comps] for row in _entries(top)]
     return IndexedMatrix(list(top), comps, entries)
 
 
@@ -230,7 +310,8 @@ def build_B(system: LocalSystem, n: int) -> IndexedMatrix:
     successors and weights."""
     top = _recursion(system, n, system.succ_b, system.weight_b)
     comps = compositions(n)
-    entries = [[row.get(b, 0) for row in top.values()] for b in comps]
+    rows = _entries(top)
+    entries = [[row.get(b, 0) for row in rows] for b in comps]
     return IndexedMatrix(comps, list(top), entries)
 
 
@@ -252,11 +333,6 @@ def local_terms(
     ]
 
 
-def local_lhs(system: LocalSystem, lam: Shape, mu: Shape) -> int | Fraction:
-    """Sum of weight_a * weight_b over shared one-step successors of lam, mu."""
-    return sum(term for _, term in local_terms(system, lam, mu))
-
-
 @dataclass
 class LocalReport:
     system: str
@@ -269,39 +345,22 @@ class LocalReport:
         return not self.failures
 
 
-def _scaled(rows: dict) -> tuple[dict, dict]:
-    """Each row times D, the lcm of its entry denominators, as int rows,
-    and {shape: D}.  A row of ints is kept as it is, with D = 1."""
-    scaled, scales = {}, {}
-    for shape, row in rows.items():
-        if all(type(v) is int for v in row.values()):
-            scaled[shape], scales[shape] = row, 1
-            continue
-        d = lcm(*(v.denominator for v in row.values()))
-        scaled[shape] = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
-        scales[shape] = d
-    return scaled, scales
-
-
 def _off_identity(left: dict, right: dict) -> list[tuple[Shape, Shape, int | Fraction]]:
-    """The (lam, mu, value) where the product left * right^T of two sparse
-    tables over the same shapes differs from the identity, in the order of
-    left's rows.  Only the stored entries of the product and the diagonal
-    can differ.
+    """The (lam, mu, value) where the product left * right^T of two tables
+    of (D, int row) rows over the same shapes differs from the identity, in
+    the order of left's rows.  Only the stored entries of the product and
+    the diagonal can differ.
 
-    Each row of either table is first scaled by D, the lcm of its entry
-    denominators, so `_cross` multiplies only ints: the scaled entry v at
-    (lam, mu) is D_lam * D_mu times the true one, which is checked against
+    `_cross` multiplies the int rows only: its entry v at (lam, mu) is
+    D_lam * D_mu times the true one, which is checked against
     D_lam * D_mu * delta(lam, mu) and reported as v / (D_lam * D_mu), an
     int when that divides and a Fraction otherwise.
     """
-    left, d_left = _scaled(left)
-    right, d_right = _scaled(right)
     failures = []
     for lam, row in _cross(left, right).items():
-        d_lam = d_left[lam]
+        d_lam = left[lam][0]
         for mu, v in {lam: 0, **row}.items():
-            d = d_lam * d_right[mu]
+            d = d_lam * right[mu][0]
             if v != d * (lam == mu):
                 failures.append((lam, mu, v // d if v % d == 0 else Fraction(v, d)))
     order = {shape: i for i, shape in enumerate(left)}
@@ -325,9 +384,20 @@ def verify_local(system: LocalSystem, n: int) -> LocalReport:
 
 def verify_inversion(system: LocalSystem, n: int) -> bool:
     """Exact check that A_n * B_n is the identity on R(n): the product of the
-    level-n recursion tables, A(lam, beta) * B(beta, mu) summed over beta."""
-    table_a = _recursion(system, n, system.succ_a, system.weight_a)
-    table_b = _recursion(system, n, system.succ_b, system.weight_b)
+    level-n recursion tables, A(lam, beta) * B(beta, mu) summed over beta.
+
+    When R(n) is the partitions of n, the check runs on P(n) alone: it
+    multiplies A_sq, the A table at partition columns, by B_fold, whose
+    entry at (mu, nu) is the sum of B(mu, beta) over the rearrangements
+    beta of nu.  A_sq * B_fold^T equals A * B^T under the sorting condition
+    A(lam, beta) = A(lam, sort beta), which holds for the kostka, rimhook
+    and brick systems (Egecioglu-Remmel 1990, 1991); without it the check
+    proves nothing about A * B^T.
+    """
+    square = system.shapes is partitions
+    extend_a, extend_b = (_append_part, _insert_part) if square else (None, None)
+    table_a = _recursion(system, n, system.succ_a, system.weight_a, extend_a)
+    table_b = _recursion(system, n, system.succ_b, system.weight_b, extend_b)
     return not _off_identity(table_a, table_b)
 
 

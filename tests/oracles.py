@@ -1,7 +1,8 @@
 """Independent oracles the tests hold the library against: cell-set
 predicates for the shape-level removal steps, a brute-force filling
 generator, a dense matrix product with its identity check, and the closed
-forms of the matrix families.
+forms of the matrix families.  The recursion in Fractions and the sum of
+one local identity are here too: the library runs neither.
 
 The library works on shapes only: a horizontal strip, rim hook or special
 rim hook is fixed by the two shapes gamma inside lam on either side of it.
@@ -34,7 +35,7 @@ from combinv.core import (
     require_partition,
     sort_comp,
 )
-from combinv.framework import IndexedMatrix, build_B
+from combinv.framework import IndexedMatrix, build_B, local_terms
 from combinv.refine import cbt_find
 from combinv.rimhook import rimhook_system
 
@@ -133,6 +134,33 @@ def is_identity_product(left, right):
         raise ValueError("key lists disagree")
     size = range(len(left.row_keys))
     return dense_product(left, right) == [[int(i == j) for j in size] for i in size]
+
+
+def fraction_recursion(system, n, succ, weight):
+    """The sparse table {shape: {beta: entry}} of M_n over R(n) x C(n) in
+    Fractions, by the recursion M_m(s, beta + (L,)) = sum over g in
+    succ(s, L) of weight(s, g) M_{m-L}(g, beta), one exact product per
+    term: the recursion as the library ran it before its rows became int
+    rows over one denominator."""
+    levels = [{system.shapes(0)[0]: {(): Fraction(1)}}]
+    for m in range(1, n + 1):
+        level = {}
+        for shape in system.shapes(m):
+            row = {}
+            for length in range(1, m + 1):
+                for gamma in succ(shape, length):
+                    w = weight(shape, gamma)
+                    for beta, value in levels[m - length][gamma].items():
+                        key = beta + (length,)
+                        row[key] = row.get(key, 0) + w * value
+            level[shape] = {beta: v for beta, v in row.items() if v}
+        levels.append(level)
+    return levels[n]
+
+
+def local_lhs(system, lam, mu):
+    """Sum of weight_a * weight_b over shared one-step successors of lam, mu."""
+    return sum(term for _, term in local_terms(system, lam, mu))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from combinv.framework import (
     build_A,
     build_B,
     check_sorting_condition,
-    local_lhs,
     square_fold_B,
 )
 from combinv.brick import (
@@ -32,6 +31,7 @@ from oracles import (
     brick_tabloids,
     centralizer_order,
     is_obt,
+    local_lhs,
     marked_brick_bijection,
     marked_brick_bijection_inv,
     obt_split,

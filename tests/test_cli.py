@@ -145,27 +145,51 @@ class TestVerifyCommand:
         monkeypatch.setitem(cli._SYSTEMS, app, perturbed)
         assert run_cli("verify", "--app", app, "--n", str(n)) == (1, golden)
 
+    @staticmethod
+    def _limit(command, app):
+        return cli.MAX_VERIFY_N[app] if command == "verify" else cli.MAX_N
+
     @pytest.mark.parametrize("command", ["verify", "matrix"])
     @pytest.mark.parametrize("n", [30, cli.MAX_N + 1])
     def test_size_limit(self, monkeypatch, capsys, command, n):
+        # every app whose limit n exceeds refuses it before building anything
         def unbuilt():
             raise AssertionError("no system may be built above the size limit")
 
         for app in list(cli._SYSTEMS):
             monkeypatch.setitem(cli._SYSTEMS, app, unbuilt)
-        assert run_cli(command, "--app", "kostka", "--n", str(n)) == (2, "")
-        assert capsys.readouterr().err == (
-            "error: n=%d is above the limit n <= %d\n" % (n, cli.MAX_N)
-        )
+        refused = [app for app in sorted(cli._SYSTEMS) if n > self._limit(command, app)]
+        assert "refine" in refused
+        assert ("kostka" in refused) == (command == "matrix" or n == 30)
+        for app in refused:
+            assert run_cli(command, "--app", app, "--n", str(n)) == (2, "")
+            assert capsys.readouterr().err == (
+                "error: n=%d is above the limit n <= %d\n" % (n, self._limit(command, app))
+            )
 
     @pytest.mark.parametrize("command", ["verify", "matrix"])
     def test_size_limit_admits_max_n(self, monkeypatch, command):
-        # the system factory runs, so the limit let n = MAX_N through
+        # the system factory runs, so the limit let each app's bound through,
+        # and one more is refused
         def sentinel():
             raise AssertionError("built")
 
-        monkeypatch.setitem(cli._SYSTEMS, "kostka", sentinel)
-        assert run_cli(command, "--app", "kostka", "--n", str(cli.MAX_N)) == (4, "")
+        for app in list(cli._SYSTEMS):
+            monkeypatch.setitem(cli._SYSTEMS, app, sentinel)
+            limit = self._limit(command, app)
+            assert run_cli(command, "--app", app, "--n", str(limit)) == (4, "")
+            assert run_cli(command, "--app", app, "--n", str(limit + 1)) == (2, "")
+
+    def test_verify_limits(self):
+        # P(n) indexes kostka, rimhook and brick, compositions the other two
+        assert cli.MAX_N == 12
+        assert cli.MAX_VERIFY_N == {
+            "kostka": 18,
+            "rimhook": 16,
+            "refine": 12,
+            "refine-weighted": 12,
+            "brick": 18,
+        }
 
 
 # stdout of `combinv local`, one off-diagonal pair per app plus one diagonal

@@ -4,7 +4,7 @@ import json
 import pkgutil
 from dataclasses import replace
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -19,7 +19,6 @@ from combinv.framework import (
     build_B,
     check_sorting_condition,
     key_string,
-    local_lhs,
     local_terms,
     square_fold_B,
     square_restrict_A,
@@ -30,7 +29,7 @@ from combinv.kostka import kostka_system
 from combinv.refine import refine_system, weighted_system
 from combinv.rimhook import rimhook_system
 from combinv.brick import obt_system
-from oracles import dense_product, is_identity_product
+from oracles import dense_product, fraction_recursion, is_identity_product, local_lhs
 
 ALL_SYSTEMS = [kostka_system, rimhook_system, refine_system, weighted_system, obt_system]
 
@@ -101,13 +100,31 @@ class TestRecursionMatchesTables:
         for n in range(7):
             table = framework._recursion(system, n, succ, weight)
             assert list(table) == system.shapes(n)
-            for shape, row in table.items():
+            for shape, (e, row) in table.items():
                 for beta in compositions(n):
                     total = sum(
                         prod(weight(outer, inner) for inner, outer in zip(c, c[1:]))
                         for c in walk_chains(succ, shape, beta)
                     )
-                    assert row.get(beta, 0) == total, (shape, beta)
+                    assert Fraction(row.get(beta, 0), e) == total, (shape, beta)
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("make", ALL_SYSTEMS)
+    def test_int_rows_equal_the_fraction_recursion(self, make, side):
+        # each row is (E, {beta: int}) with E its least denominator, and
+        # int / E is the entry the recursion gives in Fractions
+        system = make()
+        succ = getattr(system, "succ_" + side)
+        weight = getattr(system, "weight_" + side)
+        for n in range(9):
+            table = framework._recursion(system, n, succ, weight)
+            expected = fraction_recursion(system, n, succ, weight)
+            assert list(table) == list(expected)
+            for shape, (e, row) in table.items():
+                assert type(e) is int and e >= 1
+                assert all(type(v) is int and v for v in row.values())
+                assert gcd(e, *row.values()) == 1
+                assert {b: Fraction(v, e) for b, v in row.items()} == expected[shape]
 
 
 class TestInversionAndLocal:
@@ -222,7 +239,6 @@ class TestLocalProduct:
             raise AssertionError("verify_local must not evaluate pairs one by one")
 
         monkeypatch.setattr(framework, "local_terms", unused)
-        monkeypatch.setattr(framework, "local_lhs", unused)
         counting = replace(
             system, succ_a=counted(system.succ_a), succ_b=counted(system.succ_b)
         )
@@ -322,7 +338,7 @@ class TestSparseInversion:
         for n in range(8):
             assert verify_inversion(system, n)
         assert len(operands) == 16
-        assert all(all(row.values()) for table in operands for row in table.values())
+        assert all(all(row.values()) for table in operands for _, row in table.values())
 
 
 def _dense_step(system, n, side):
@@ -387,7 +403,8 @@ class TestScaledProduct:
 
         def int_only(left, right):
             for table in (left, right):
-                for row in table.values():
+                for e, row in table.values():
+                    assert type(e) is int, e
                     assert all(type(v) is int for v in row.values()), row
             return cross(left, right)
 
@@ -459,6 +476,89 @@ class TestSortingAndSquares:
     def test_fold_on_zero(self):
         system = kostka_system()
         assert square_fold_B(build_B(system, 0)).entries == [[Fraction(1)]]
+
+
+SQUARE_SYSTEMS = [kostka_system, rimhook_system, obt_system]
+
+
+def _square_tables(system, n):
+    """A_sq and B_fold, the tables verify_inversion multiplies on P(n)."""
+    table_a = framework._recursion(
+        system, n, system.succ_a, system.weight_a, framework._append_part
+    )
+    table_b = framework._recursion(
+        system, n, system.succ_b, system.weight_b, framework._insert_part
+    )
+    return table_a, table_b
+
+
+def _rectangular_failures(system, n):
+    table_a = framework._recursion(system, n, system.succ_a, system.weight_a)
+    table_b = framework._recursion(system, n, system.succ_b, system.weight_b)
+    return framework._off_identity(table_a, table_b)
+
+
+class TestSquareNative:
+    @pytest.mark.parametrize("make", SQUARE_SYSTEMS)
+    def test_tables_equal_restricted_and_folded(self, make):
+        system = make()
+        for n in range(9):
+            parts = partitions(n)
+            table_a, table_b = _square_tables(system, n)
+            assert list(table_a) == list(table_b) == parts
+            a_sq = IndexedMatrix(
+                parts,
+                parts,
+                [[Fraction(row.get(nu, 0), e) for nu in parts] for e, row in table_a.values()],
+            )
+            b_fold = IndexedMatrix(
+                parts,
+                parts,
+                [[Fraction(row.get(nu, 0), e) for e, row in table_b.values()] for nu in parts],
+            )
+            assert a_sq == square_restrict_A(build_A(system, n))
+            assert b_fold == square_fold_B(build_B(system, n))
+
+    @pytest.mark.parametrize("make", SQUARE_SYSTEMS)
+    def test_sorting_condition_at_n8(self, make):
+        # the hypothesis under which A_sq * B_fold^T equals A * B^T
+        assert check_sorting_condition(build_A(make(), 8))
+
+    @pytest.mark.parametrize("make", SQUARE_SYSTEMS)
+    @pytest.mark.parametrize("change", ["shifted", *B_CHANGES])
+    def test_failures_match_rectangular(self, make, change):
+        # a B-side change keeps A, so the sorting condition still holds and
+        # both global checks see the same product, failure for failure
+        system = make()
+        if change == "shifted":
+            system = _shifted(system)
+        else:
+            weight_b, apply = system.weight_b, B_CHANGES[change]
+            system = replace(system, weight_b=lambda mu, d: apply(weight_b(mu, d)))
+        failed = []
+        for n in range(8):
+            expected = _rectangular_failures(system, n)
+            square = framework._off_identity(*_square_tables(system, n))
+            assert _typed(square) == _typed(expected)
+            assert verify_inversion(system, n) == (not expected)
+            failed.append(bool(expected))
+        assert any(failed)
+
+    @pytest.mark.parametrize("make", ALL_SYSTEMS)
+    def test_partition_apps_multiply_square_tables(self, make, monkeypatch):
+        # verify_inversion picks the square rules exactly when R(n) is P(n)
+        keys = set()
+        cross = framework._cross
+
+        def recording(left, right):
+            keys.update(k for table in (left, right) for _, row in table.values() for k in row)
+            return cross(left, right)
+
+        monkeypatch.setattr(framework, "_cross", recording)
+        system = make()
+        assert verify_inversion(system, 5)
+        square = system.shapes is partitions
+        assert keys == set(partitions(5) if square else compositions(5))
 
 
 class TestOrderIndependence:

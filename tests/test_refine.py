@@ -6,13 +6,14 @@ from hypothesis import given, strategies as st
 
 import goldens
 from combinv.core import compositions
-from combinv.framework import build_A, build_B, local_lhs, verify_inversion
+from combinv.framework import build_A, build_B, verify_inversion
 from combinv.refine import cbt_find, refine_system, weighted_system
 from oracles import (
     h_to_psi_matrix,
     incidence_matrix,
     is_identity_product,
     local_g_refine,
+    local_lhs,
     mobius_matrix,
     partial_sum_product,
     psi_to_h_matrix,
