@@ -21,6 +21,7 @@ from .framework import (
     local_terms,
     square_fold_B,
     square_restrict_A,
+    verify,
     verify_inversion,
     verify_local,
 )

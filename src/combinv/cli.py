@@ -21,8 +21,7 @@ from .framework import (
     local_terms,
     square_fold_B,
     square_restrict_A,
-    verify_inversion,
-    verify_local,
+    verify,
 )
 
 # Above this n, `matrix` is refused, and `verify` for the apps that
@@ -31,8 +30,8 @@ MAX_N = 12
 
 # Above these n, `verify` is refused.  kostka, rimhook and brick check the
 # global identity on P(n) alone; in-process global + local check at the
-# bound, two runs each on a 2-vCPU Intel Xeon with CPython 3.11.7: kostka
-# n = 18 2.1-2.4 s, brick n = 18 2.0-2.4 s, rimhook n = 16 2.6-3.1 s.
+# bound, four runs each on a 2-vCPU Intel Xeon with CPython 3.11.7: kostka
+# n = 18 2.2-2.7 s, brick n = 18 2.4-2.5 s, rimhook n = 16 2.5-2.7 s.
 MAX_VERIFY_N = {
     "kostka": 18,
     "rimhook": 16,
@@ -102,9 +101,7 @@ def _cmd_matrix(args) -> tuple[int, str]:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
-    system = _SYSTEMS[args.app]()
-    inversion = verify_inversion(system, args.n)
-    report = verify_local(system, args.n) if args.n >= 1 else None
+    inversion, report = verify(_SYSTEMS[args.app](), args.n)
     text = "inversion n=%d: %s\n" % (args.n, "pass" if inversion else "FAIL")
     if report is None:
         return (0 if inversion else 1), text

@@ -14,7 +14,9 @@ Fraction.  Both identities are `_cross` of two sparse tables, read by one
 reader for the stored entries and the diagonal: A_n * B_n = I globally
 (`verify_inversion`, the two level-n recursion tables) and one shape pair
 at a time (`verify_local`, the product D_A * D_B^T of the level-n step
-rows).
+rows).  The level-n step rows are the top level of the recursion too, so
+`verify`, which runs both checks, builds them once per side and hands them
+to the recursion.
 
 When R(n) is the partitions of n (kostka, rimhook, brick), the global check
 runs on P(n) alone.  The recursion's one optional key rule builds A_sq, the
@@ -225,6 +227,7 @@ def _recursion(
     succ: Succ,
     weight: Weight,
     extend: Callable[[Shape, int], Shape | None] | None = None,
+    top: dict | None = None,
 ) -> dict:
     """The sparse table {shape: (E, {beta: int})} of M_n over R(n) x C(n),
     whose entry at (shape, beta) is int / E, built up from M_0 = [1] by
@@ -241,7 +244,8 @@ def _recursion(
 
     `extend(beta, L)` replaces the column key beta + (L,), and a None from
     it drops the term: with `_append_part` the table is A_sq, with
-    `_insert_part` it is B_fold (see `verify_inversion`).
+    `_insert_part` it is B_fold (see `verify_inversion`).  `top`, when
+    given, is the level-n step rows, already built (see `verify`).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -251,7 +255,8 @@ def _recursion(
     levels = [{base[0]: (1, {(): 1})}]
     for m in range(1, n + 1):
         level = {}
-        for shape, (d, step) in _step_rows(system, m, succ, weight).items():
+        steps = _step_rows(system, m, succ, weight) if m < n or top is None else top
+        for shape, (d, step) in steps.items():
             e, row = 1, {}
             for gamma, p in step.items():
                 size = sum(gamma)
@@ -368,6 +373,13 @@ def _off_identity(left: dict, right: dict) -> list[tuple[Shape, Shape, int | Fra
     return failures
 
 
+def _local_report(
+    system: LocalSystem, n: int, step_a: dict, step_b: dict
+) -> LocalReport:
+    """The local check's report from the level-n step rows of both sides."""
+    return LocalReport(system.name, n, len(step_a) ** 2, _off_identity(step_a, step_b))
+
+
 def verify_local(system: LocalSystem, n: int) -> LocalReport:
     """Check the single-step cancellation identity for every shape pair: the
     local sums are the product D_A * D_B^T of the level-n step rows.
@@ -379,7 +391,23 @@ def verify_local(system: LocalSystem, n: int) -> LocalReport:
         raise ValueError("n must be positive")
     step_a = _step_rows(system, n, system.succ_a, system.weight_a)
     step_b = _step_rows(system, n, system.succ_b, system.weight_b)
-    return LocalReport(system.name, n, len(step_a) ** 2, _off_identity(step_a, step_b))
+    return _local_report(system, n, step_a, step_b)
+
+
+def _tables(system: LocalSystem, n: int) -> list[tuple[dict, dict | None]]:
+    """(table, step rows) of the A side, then the B side: the level-n
+    recursion table that the global check multiplies, and the level-n step
+    rows it was built from (None at n = 0), built once for both checks."""
+    square = system.shapes is partitions
+    sides = [
+        (system.succ_a, system.weight_a, _append_part if square else None),
+        (system.succ_b, system.weight_b, _insert_part if square else None),
+    ]
+    found = []
+    for succ, weight, extend in sides:
+        top = _step_rows(system, n, succ, weight) if n >= 1 else None
+        found.append((_recursion(system, n, succ, weight, extend, top), top))
+    return found
 
 
 def verify_inversion(system: LocalSystem, n: int) -> bool:
@@ -394,11 +422,17 @@ def verify_inversion(system: LocalSystem, n: int) -> bool:
     and brick systems (Egecioglu-Remmel 1990, 1991); without it the check
     proves nothing about A * B^T.
     """
-    square = system.shapes is partitions
-    extend_a, extend_b = (_append_part, _insert_part) if square else (None, None)
-    table_a = _recursion(system, n, system.succ_a, system.weight_a, extend_a)
-    table_b = _recursion(system, n, system.succ_b, system.weight_b, extend_b)
+    (table_a, _), (table_b, _) = _tables(system, n)
     return not _off_identity(table_a, table_b)
+
+
+def verify(system: LocalSystem, n: int) -> tuple[bool, LocalReport | None]:
+    """`verify_inversion` and, for n >= 1, `verify_local`, with each side's
+    level-n step rows built once: they are the top level of its recursion
+    table and one factor of the local product D_A * D_B^T."""
+    (table_a, step_a), (table_b, step_b) = _tables(system, n)
+    report = _local_report(system, n, step_a, step_b) if n >= 1 else None
+    return not _off_identity(table_a, table_b), report
 
 
 def check_sorting_condition(matrix: IndexedMatrix) -> bool:

@@ -79,8 +79,19 @@ def border_number_of_hook(shape: Partition, gamma: Partition) -> int:
 # ---------------------------------------------------------------------------
 
 def hook_successors(shape: Partition, length: int) -> list[Partition]:
-    """The shapes left by removing a border rim-hook of size `length`."""
-    return [g for g, size, _ in hook_removals(shape) if size == length]
+    """The shapes left by removing a border rim-hook of size `length`, in
+    reading order: the border hooks of the cells (i, j) whose hook length
+    lam_i - j + lam'_j - i + 1 is `length`, at most one per row."""
+    conj = [0] * (shape[0] if shape else 0)
+    for part in shape:
+        for j in range(part):
+            conj[j] += 1
+    return [
+        border_hook(shape, (i, j))[0]
+        for i, part in enumerate(shape, start=1)
+        for j in range(1, part + 1)
+        if part - j + conj[j - 1] - i + 1 == length
+    ]
 
 
 def enumerate_rht(lam: Partition, beta: Composition) -> list[tuple[Filling, int]]:

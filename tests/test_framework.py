@@ -1,7 +1,9 @@
 import importlib
 import inspect
+import io
 import json
 import pkgutil
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, prod
@@ -11,8 +13,8 @@ import pytest
 import combinv
 import goldens
 import oracles
-from combinv import framework
-from combinv.core import compositions, partitions, walk_chains
+from combinv import cli, framework
+from combinv.core import compositions, format_rational, partitions, walk_chains
 from combinv.framework import (
     IndexedMatrix,
     build_A,
@@ -22,6 +24,7 @@ from combinv.framework import (
     local_terms,
     square_fold_B,
     square_restrict_A,
+    verify,
     verify_inversion,
     verify_local,
 )
@@ -559,6 +562,80 @@ class TestSquareNative:
         assert verify_inversion(system, 5)
         square = system.shapes is partitions
         assert keys == set(partitions(5) if square else compositions(5))
+
+
+def _verify_text(system, n):
+    """`combinv verify`'s stdout, built from the two standalone checks."""
+    inversion, report = verify_inversion(system, n), verify_local(system, n)
+    text = "inversion n=%d: %s\n" % (n, "pass" if inversion else "FAIL")
+    fmt = "local identities n=%d: %s (%d pairs)\n"
+    text += fmt % (n, "pass" if report.passed else "FAIL", report.pairs_checked)
+    for lam, mu, value in report.failures:
+        text += "  violation at %r, %r: %s\n" % (lam, mu, format_rational(value))
+    return text
+
+
+class TestSharedStepRows:
+    # one `combinv verify` builds each (side, level) step-row set once: the
+    # global and the local check share the level-n rows
+    @pytest.mark.parametrize("app", sorted(cli._SYSTEMS))
+    def test_verify_asks_each_successor_list_once(self, app, monkeypatch):
+        factory, n = cli._SYSTEMS[app], 6
+        calls = Counter()
+
+        def counted(side, succ):
+            def wrapper(shape, length):
+                calls[side, shape, length] += 1
+                return succ(shape, length)
+
+            return wrapper
+
+        def counting():
+            system = factory()
+            return replace(
+                system,
+                succ_a=counted("a", system.succ_a),
+                succ_b=counted("b", system.succ_b),
+            )
+
+        monkeypatch.setitem(cli._SYSTEMS, app, counting)
+        assert cli.run(["verify", "--app", app, "--n", str(n)], io.StringIO()) == 0
+        shapes = factory().shapes
+        assert set(calls) == {
+            (side, shape, length)
+            for side in "ab"
+            for m in range(1, n + 1)
+            for shape in shapes(m)
+            for length in range(1, m + 1)
+        }
+        assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("app", sorted(cli._SYSTEMS))
+    @pytest.mark.parametrize("below", [0, 2])
+    def test_verify_text_equals_the_standalone_checks(self, app, below, monkeypatch):
+        # one B weight off by one at a shape of level n - below
+        factory, n = cli._SYSTEMS[app], 6
+        system = factory()
+        shapes = system.shapes(n - below)
+        target = shapes[len(shapes) // 2]
+        gamma = next(
+            g for length in range(1, n + 1) for g in system.succ_b(target, length)
+        )
+        weight_b = system.weight_b
+
+        def off(mu, delta):
+            return weight_b(mu, delta) + ((mu, delta) == (target, gamma))
+
+        broken = replace(system, weight_b=off)
+        monkeypatch.setitem(cli._SYSTEMS, app, lambda: broken)
+        out = io.StringIO()
+        assert cli.run(["verify", "--app", app, "--n", str(n)], out) == 1
+        assert out.getvalue() == _verify_text(broken, n)
+        assert ("violation" in out.getvalue()) == (below == 0)
+
+    @pytest.mark.parametrize("make", ALL_SYSTEMS)
+    def test_level_zero_has_no_local_report(self, make):
+        assert verify(make(), 0) == (True, None)
 
 
 class TestOrderIndependence:

@@ -34,6 +34,7 @@ from combinv.rimhook import (
     cyc_part,
     enumerate_rht,
     hook_removals,
+    hook_successors,
     is_rht,
     rimhook_pair,
     rimhook_system,
@@ -184,6 +185,15 @@ class TestBorderHooks:
                 else:
                     with pytest.raises(ValueError):
                         border_number_of_hook(lam, gamma)
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_hook_successors_match_filtered_removals(self, n):
+        # the oracle builds every border hook and keeps those of size L
+        for lam in partitions(n):
+            removals = hook_removals(lam)
+            for length in range(n + 2):
+                expected = [g for g, size, _ in removals if size == length]
+                assert hook_successors(lam, length) == expected, (lam, length)
 
 
 class TestRht:
