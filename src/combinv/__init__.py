@@ -17,10 +17,7 @@ from .framework import (
     Pairing,
     build_A,
     build_B,
-    check_sorting_condition,
     local_terms,
-    square_fold_B,
-    square_restrict_A,
     verify,
     verify_inversion,
     verify_local,

@@ -15,14 +15,7 @@ from functools import partial
 
 from . import brick, involutions, kostka, refine, rimhook
 from .core import format_rational, sort_comp
-from .framework import (
-    build_A,
-    build_B,
-    local_terms,
-    square_fold_B,
-    square_restrict_A,
-    verify,
-)
+from .framework import build_A, build_B, local_terms, verify
 
 # Above this n, `matrix` is refused, and `verify` for the apps that
 # compositions index: their tables hold 3^(n-1) entries.
@@ -92,9 +85,7 @@ def _json_line(obj) -> str:
 
 def _cmd_matrix(args) -> tuple[int, str]:
     build = build_B if args.side.startswith("B") else build_A
-    square = {"Asq": square_restrict_A, "Bsq": square_fold_B}.get(args.side)
-    matrix = build(_SYSTEMS[args.app](), args.n)
-    matrix = square(matrix) if square else matrix
+    matrix = build(_SYSTEMS[args.app](), args.n, square=args.side.endswith("sq"))
     if args.format == "json":
         return 0, _json_line(matrix.to_json())
     return 0, matrix.to_csv() if args.format == "csv" else matrix.to_ascii() + "\n"

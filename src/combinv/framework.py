@@ -24,9 +24,11 @@ A table at partition columns, and B_fold, the B table summed over the
 rearrangements of each column, and A_sq * B_fold^T = A * B^T holds under
 the sorting condition A(lam, beta) = A(lam, sort beta).
 
-`IndexedMatrix` is only the dense output form that `build_A` and `build_B`
-fill from the rectangular tables, one Fraction per nonzero entry of a row
-with E > 1.
+`IndexedMatrix` is only the dense output form.  `build_A` and `build_B`
+fill it from one recursion table of the side they name, rectangular or,
+with `square`, A_sq and B_fold built by the same key rules, one Fraction
+per nonzero entry of a row with E > 1.  `_side` is the one place that
+maps a side to its successors, weights and key rule.
 """
 
 from __future__ import annotations
@@ -40,12 +42,10 @@ from typing import Callable
 from .core import (
     compositions,
     format_rational,
-    is_partition,
     partitions,
     rational_to_json,
     require_composition,
     require_partition,
-    sort_comp,
 )
 
 Shape = tuple[int, ...]
@@ -302,22 +302,50 @@ def _entries(table: dict) -> list[dict]:
     ]
 
 
-def build_A(system: LocalSystem, n: int) -> IndexedMatrix:
-    """R(n) x C(n) matrix of the recursion with the A-side successors and weights."""
-    top = _recursion(system, n, system.succ_a, system.weight_a)
-    comps = compositions(n)
-    entries = [[row.get(b, 0) for b in comps] for row in _entries(top)]
-    return IndexedMatrix(list(top), comps, entries)
+def _side(system: LocalSystem, side: str) -> tuple[Succ, Weight, Callable | None]:
+    """(succ, weight, key rule) of one side of the recursion: "A" and "B"
+    keep every composition column; "Asq" appends a part only after a part at
+    least as large (`_append_part`, the A table at partition columns) and
+    "Bsq" inserts it in sorted position (`_insert_part`, the B table summed
+    over the rearrangements of each column)."""
+    if side[0] == "A":
+        succ, weight = system.succ_a, system.weight_a
+    else:
+        succ, weight = system.succ_b, system.weight_b
+    return succ, weight, {"Asq": _append_part, "Bsq": _insert_part}.get(side)
 
 
-def build_B(system: LocalSystem, n: int) -> IndexedMatrix:
+def _build(system: LocalSystem, n: int, side: str) -> IndexedMatrix:
+    """The dense matrix of one side's level-n recursion table over
+    R(n) x C(n), or R(n) x P(n) for a square side; a B side is transposed.
+
+    A_sq keeps the partition columns only, which loses nothing under the
+    sorting condition A(lam, beta) = A(lam, sort beta), and its rows are
+    P(n).  Where R(n) is not P(n) it is refused: refine and refine-weighted
+    break that condition at every n >= 3."""
+    if side == "Asq" and system.shapes(n) != partitions(n):
+        raise ValueError("sorting condition violated; restriction is lossy")
+    table = _recursion(system, n, *_side(system, side))
+    cols = partitions(n) if side.endswith("sq") else compositions(n)
+    rows = _entries(table)
+    if side[0] == "A":
+        entries = [[row.get(b, 0) for b in cols] for row in rows]
+        return IndexedMatrix(list(table), cols, entries)
+    entries = [[row.get(b, 0) for row in rows] for b in cols]
+    return IndexedMatrix(cols, list(table), entries)
+
+
+def build_A(system: LocalSystem, n: int, square: bool = False) -> IndexedMatrix:
+    """R(n) x C(n) matrix of the recursion with the A-side successors and
+    weights; with `square`, A_sq, its restriction to P(n) x P(n)."""
+    return _build(system, n, "Asq" if square else "A")
+
+
+def build_B(system: LocalSystem, n: int, square: bool = False) -> IndexedMatrix:
     """C(n) x R(n) matrix: the transpose of the recursion with the B-side
-    successors and weights."""
-    top = _recursion(system, n, system.succ_b, system.weight_b)
-    comps = compositions(n)
-    rows = _entries(top)
-    entries = [[row.get(b, 0) for row in rows] for b in comps]
-    return IndexedMatrix(comps, list(top), entries)
+    successors and weights; with `square`, B_fold over P(n) x R(n), whose
+    row nu sums the rows of the rearrangements of nu."""
+    return _build(system, n, "Bsq" if square else "B")
 
 
 def local_terms(
@@ -396,15 +424,12 @@ def verify_local(system: LocalSystem, n: int) -> LocalReport:
 
 def _tables(system: LocalSystem, n: int) -> list[tuple[dict, dict | None]]:
     """(table, step rows) of the A side, then the B side: the level-n
-    recursion table that the global check multiplies, and the level-n step
-    rows it was built from (None at n = 0), built once for both checks."""
-    square = system.shapes is partitions
-    sides = [
-        (system.succ_a, system.weight_a, _append_part if square else None),
-        (system.succ_b, system.weight_b, _insert_part if square else None),
-    ]
+    recursion table that the global check multiplies, square when R(n) is
+    P(n), and the level-n step rows it was built from (None at n = 0), built
+    once for both checks."""
     found = []
-    for succ, weight, extend in sides:
+    for side in ("Asq", "Bsq") if system.shapes is partitions else ("A", "B"):
+        succ, weight, extend = _side(system, side)
         top = _step_rows(system, n, succ, weight) if n >= 1 else None
         found.append((_recursion(system, n, succ, weight, extend, top), top))
     return found
@@ -433,49 +458,6 @@ def verify(system: LocalSystem, n: int) -> tuple[bool, LocalReport | None]:
     (table_a, step_a), (table_b, step_b) = _tables(system, n)
     report = _local_report(system, n, step_a, step_b) if n >= 1 else None
     return not _off_identity(table_a, table_b), report
-
-
-def check_sorting_condition(matrix: IndexedMatrix) -> bool:
-    """True when each column's entries depend only on the sorted column key."""
-    groups: dict[Shape, list[int]] = {}
-    for j, key in enumerate(matrix.col_keys):
-        groups.setdefault(sort_comp(key), []).append(j)
-    for row in matrix.entries:
-        for cols in groups.values():
-            first = row[cols[0]]
-            if any(row[j] != first for j in cols[1:]):
-                return False
-    return True
-
-
-def square_restrict_A(matrix: IndexedMatrix) -> IndexedMatrix:
-    """Restrict rows and columns to partition keys.
-
-    Requires the sorting condition, so that dropping the non-partition
-    columns loses no information.
-    """
-    if not check_sorting_condition(matrix):
-        raise ValueError("sorting condition violated; restriction is lossy")
-    rows = [i for i, k in enumerate(matrix.row_keys) if is_partition(k)]
-    cols = [j for j, k in enumerate(matrix.col_keys) if is_partition(k)]
-    return IndexedMatrix(
-        [matrix.row_keys[i] for i in rows],
-        [matrix.col_keys[j] for j in cols],
-        [[matrix.entries[i][j] for j in cols] for i in rows],
-    )
-
-
-def square_fold_B(matrix: IndexedMatrix) -> IndexedMatrix:
-    """Collapse composition-keyed rows by summing over each sorted class."""
-    n = sum(matrix.row_keys[0]) if matrix.row_keys else 0
-    parts = partitions(n)
-    index = {k: i for i, k in enumerate(parts)}
-    entries = [[0] * len(matrix.col_keys) for _ in parts]
-    for key, row in zip(matrix.row_keys, matrix.entries):
-        target = entries[index[sort_comp(key)]]
-        for j, e in enumerate(row):
-            target[j] += e
-    return IndexedMatrix(parts, matrix.col_keys, entries)
 
 
 @dataclass(frozen=True)

@@ -121,3 +121,14 @@ ENUMERATE_SHA256 = {
     "srht": "92235253ab0896c1ae828b21834cc18815babf0cb63738b423f9f4eb21d5d23e",
     "ssyt": "47bd29937a1678e0d457029983bcc429bbd8bcaeba9ca167918ba75511b7a75b",
 }
+
+# sha256 of TestMatrixCommand::test_golden_digest's lines per app: the argv,
+# exit code, stdout and stderr of `combinv matrix` on every side and format
+# with -1 <= n <= 6
+MATRIX_SHA256 = {
+    "brick": "cb2d2100c877a701834dfa35c51789ce362ab1a41e12722186294e2681f06235",
+    "kostka": "a025ace6b6117d5f55732490f1fa9ba14c022bb4a03ae2b3fe3203b8b2094bd0",
+    "refine": "ae66ee8cd8f1f40bb02062ca2b5567459eaaeace2e8dc5e239725445c107da7d",
+    "refine-weighted": "43dca35d665b30e2cda97e4edc534381cb9a49b1ea27eef10ecb50ff9f0a8b28",
+    "rimhook": "8e93bd4ea0ae02b155692a1d4fd7c11ed5c4857f3b190f320d793891d922e394",
+}

@@ -4,6 +4,11 @@ generator, a dense matrix product with its identity check, and the closed
 forms of the matrix families.  The recursion in Fractions and the sum of
 one local identity are here too: the library runs neither.
 
+So are the square forms as conversions of the rectangular tables, which
+the library builds natively instead: the sorting condition, the
+restriction of A to partition keys and the fold of B over the
+rearrangements of each key.
+
 The library works on shapes only: a horizontal strip, rim hook or special
 rim hook is fixed by the two shapes gamma inside lam on either side of it.
 These predicates check the same structures directly on the cell set
@@ -28,6 +33,7 @@ from math import factorial
 from combinv.core import (
     Filling,
     compositions,
+    is_partition,
     last_part_sum,
     multiplicity,
     multiset_diff,
@@ -134,6 +140,49 @@ def is_identity_product(left, right):
         raise ValueError("key lists disagree")
     size = range(len(left.row_keys))
     return dense_product(left, right) == [[int(i == j) for j in size] for i in size]
+
+
+def check_sorting_condition(matrix):
+    """True when each column's entries depend only on the sorted column key."""
+    groups = {}
+    for j, key in enumerate(matrix.col_keys):
+        groups.setdefault(sort_comp(key), []).append(j)
+    for row in matrix.entries:
+        for cols in groups.values():
+            first = row[cols[0]]
+            if any(row[j] != first for j in cols[1:]):
+                return False
+    return True
+
+
+def square_restrict_A(matrix):
+    """Restrict rows and columns to partition keys.
+
+    Requires the sorting condition, so that dropping the non-partition
+    columns loses no information.
+    """
+    if not check_sorting_condition(matrix):
+        raise ValueError("sorting condition violated; restriction is lossy")
+    rows = [i for i, k in enumerate(matrix.row_keys) if is_partition(k)]
+    cols = [j for j, k in enumerate(matrix.col_keys) if is_partition(k)]
+    return IndexedMatrix(
+        [matrix.row_keys[i] for i in rows],
+        [matrix.col_keys[j] for j in cols],
+        [[matrix.entries[i][j] for j in cols] for i in rows],
+    )
+
+
+def square_fold_B(matrix):
+    """Collapse composition-keyed rows by summing over each sorted class."""
+    n = sum(matrix.row_keys[0]) if matrix.row_keys else 0
+    parts = partitions(n)
+    index = {k: i for i, k in enumerate(parts)}
+    entries = [[0] * len(matrix.col_keys) for _ in parts]
+    for key, row in zip(matrix.row_keys, matrix.entries):
+        target = entries[index[sort_comp(key)]]
+        for j, e in enumerate(row):
+            target[j] += e
+    return IndexedMatrix(parts, matrix.col_keys, entries)
 
 
 def fraction_recursion(system, n, succ, weight):

@@ -22,9 +22,6 @@ from combinv.core import (
 from combinv.framework import (
     build_A,
     build_B,
-    check_sorting_condition,
-    square_fold_B,
-    square_restrict_A,
     verify_inversion,
     verify_local,
 )
@@ -54,12 +51,15 @@ from oracles import (
     brick_B_closed,
     brick_local_g,
     centralizer_order,
+    check_sorting_condition,
     count_by_cyc_comp,
     incidence_matrix,
     is_identity_product,
     local_g_refine,
     mobius_matrix,
     partial_sum_product,
+    square_fold_B,
+    square_restrict_A,
     w_of,
     weighted_incidence_matrix,
     weighted_mobius_matrix,

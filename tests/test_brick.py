@@ -12,12 +12,7 @@ from combinv.core import (
     partitions,
     sort_comp,
 )
-from combinv.framework import (
-    build_A,
-    build_B,
-    check_sorting_condition,
-    square_fold_B,
-)
+from combinv.framework import build_A, build_B
 from combinv.brick import (
     enumerate_obt,
     obt_system,
@@ -30,12 +25,14 @@ from oracles import (
     brick_local_g,
     brick_tabloids,
     centralizer_order,
+    check_sorting_condition,
     is_obt,
     local_lhs,
     marked_brick_bijection,
     marked_brick_bijection_inv,
     obt_split,
     obt_unsplit,
+    square_fold_B,
     tabloid_weight,
     w_of,
 )

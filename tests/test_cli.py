@@ -91,6 +91,23 @@ class TestMatrixCommand:
         second = run_cli("matrix", "--app", "rimhook", "--n", "5", "--side", "B")
         assert first == second
 
+    @pytest.mark.parametrize("app", sorted(cli._SYSTEMS))
+    def test_golden_digest(self, capsys, app):
+        # every side and format with n <= 6, refusals and their messages
+        # included, as `matrix` printed them when the square sides were
+        # converted from the rectangular tables
+        lines = []
+        for side in ("A", "B", "Asq", "Bsq"):
+            for fmt in ("json", "csv", "ascii"):
+                for n in range(-1, 7):
+                    argv = ["matrix", "--app", app, "--n", str(n)]
+                    argv += ["--side", side, "--format", fmt]
+                    code, text = run_cli(*argv)
+                    err = capsys.readouterr().err
+                    lines += [" ".join(argv), "exit %d" % code, text, err]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == goldens.MATRIX_SHA256[app]
+
 
 # stdout of `combinv verify` on systems with a perturbed B-side weight:
 # (app, n, new weight from (mu, old weight), stdout)

@@ -8,7 +8,7 @@ from combinv.core import (
     partitions,
     shape_contains,
 )
-from combinv.framework import build_A, build_B, check_sorting_condition
+from combinv.framework import build_A, build_B
 from combinv.kostka import (
     enumerate_ssyt,
     is_srht,
@@ -22,6 +22,7 @@ from combinv.kostka import (
 )
 from oracles import (
     cells_of,
+    check_sorting_condition,
     diagram,
     hook_sign,
     is_horizontal_strip,

@@ -14,13 +14,7 @@ from combinv.core import (
     shape_contains,
     sort_comp,
 )
-from combinv.framework import (
-    build_A,
-    build_B,
-    check_sorting_condition,
-    square_fold_B,
-    square_restrict_A,
-)
+from combinv.framework import build_A, build_B
 from combinv.kostka import rht_sign, srh_removals
 from combinv.rimhook import (
     Abacus,
@@ -41,6 +35,7 @@ from combinv.rimhook import (
 )
 from oracles import (
     centralizer_order,
+    check_sorting_condition,
     count_by_cyc_comp,
     diagram,
     factorial_scaled_b,
@@ -48,6 +43,8 @@ from oracles import (
     is_identity_product,
     is_rim_hook,
     is_special_rim_hook,
+    square_fold_B,
+    square_restrict_A,
 )
 
 

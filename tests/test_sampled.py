@@ -1,6 +1,10 @@
 """The recursion-built matrices against the oracles and enumerators at n = 10,
 above the exhaustive ranges (n <= 7 or 8): for each app and side, a
-fixed-seed sample of entries, half of them among the stored nonzero ones."""
+fixed-seed sample of entries, half of them among the stored nonzero ones.
+
+The sorting condition A(lam, beta) = A(lam, sort beta), under which the
+square A is the rectangular one restricted to partition columns, is sampled
+the same way at n = 12 and 16 for the apps whose shapes are partitions."""
 
 import random
 from fractions import Fraction
@@ -9,6 +13,7 @@ from functools import lru_cache
 import pytest
 
 from combinv.brick import enumerate_obt, obt_system
+from combinv.core import sort_comp
 from combinv.framework import build_A, build_B
 from combinv.kostka import enumerate_ssyt, kostka_system, srht_find
 from combinv.refine import refine_system, weighted_system
@@ -17,6 +22,7 @@ from oracles import partial_sum_product, refines, w_of, weighted_factors
 
 N = 10
 PER_SIDE = 50  # sampled entries of A and of B, so 100 per app
+SORTED = 40  # sampled compositions beta per app and n, for the sorting condition
 ENUMERATED = 1000  # the largest brick count also checked by listing tabloids
 
 
@@ -115,3 +121,43 @@ def test_sampled_entries_match_oracles(app):
     for build, oracle in ((build_A, entry_a), (build_B, entry_b)):
         for row, col, entry in sample(build(system(), N), rng):
             assert entry == oracle(row, col), (row, col)
+
+
+def point_a(system, lam, beta):
+    """A(lam, beta) alone, by the recursion on the last part of beta,
+    memoized on (shape, prefix length)."""
+
+    @lru_cache(maxsize=None)
+    def rec(shape, k):
+        if k == 0:
+            return 1  # |shape| = 0, R(0)'s one shape: A_0 = [1]
+        return sum(
+            system.weight_a(shape, gamma) * rec(gamma, k - 1)
+            for gamma in system.succ_a(shape, beta[k - 1])
+        )
+
+    return rec(lam, len(beta))
+
+
+def random_composition(n, rng):
+    """A uniform composition of n >= 1: each of the n - 1 cuts made or not."""
+    cuts = [0, *(i for i in range(1, n) if rng.getrandbits(1)), n]
+    return tuple(b - a for a, b in zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("app", ["brick", "kostka", "rimhook"])
+def test_sorting_condition_sampled(app, n):
+    # above the exhaustive check at n <= 8; half the shapes lam are drawn
+    # among the nonzero entries of the column sort(beta)
+    system = ORACLES[app][0]()
+    square = build_A(system, n, square=True)
+    rng = random.Random(n)
+    for i in range(SORTED):
+        beta = random_composition(n, rng)
+        column = sort_comp(beta)
+        shapes = square.row_keys
+        if i % 2:
+            shapes = [lam for lam in shapes if square.entry(lam, column)]
+        lam = rng.choice(shapes)
+        assert point_a(system, lam, beta) == square.entry(lam, column), (lam, beta)
