@@ -16,7 +16,11 @@ Filling's content, a chain's sign and the choice-sequence transport.  The
 pair set of one `verify_pairing` call shares one memo and every image the
 involutions build carries its input's; a pair or triple built by any other
 caller starts a fresh one.  No memo is kept at module level, so none outlives
-the objects that carry it.
+the objects that carry it.  The audit itself maps each object of the pair
+set once and checks map o map = id by looking the image's image up among
+those results; it lists the special rim-hook tableaux of a shape with one
+walk down their chains, and the transport passes canonical cycle tuples,
+building a Permutation only for an image's sigma (and for a trace).
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .core import (
     Filling,
     Partition,
     chain_of,
-    compositions,
     filling_of,
     require_partition,
     rht_sign,
@@ -42,7 +45,7 @@ from .kostka import (
     is_srht,
     is_ssyt,
     kostka_pair,
-    srht_find,
+    srh_removals,
 )
 from .rimhook import (
     Permutation,
@@ -56,6 +59,7 @@ from .rimhook import (
 )
 
 ChoiceSequence = tuple[int, ...]
+Cycles = tuple[tuple[int, ...], ...]
 
 
 class _Memo:
@@ -227,14 +231,16 @@ def f_lambda(
     the cycle lengths read off in canonical order equal the content of S.
     """
     require_partition(lam)
-    chain, sigma = _decode(lam, choices, ground)
-    return filling_of(chain), sigma
+    chain, cycles = _decode(lam, choices, ground)
+    return filling_of(chain), Permutation.from_cycles(list(cycles))
 
 
 def _decode(
     lam: Partition, choices: ChoiceSequence, ground: tuple[int, ...] | None
-) -> tuple[Chain, Permutation]:
-    """f_lambda with the survivor S given by its chain."""
+) -> tuple[Chain, Cycles]:
+    """f_lambda with the survivor S given by its chain and sigma by its
+    canonical cycles: built right to left, each from the least unused
+    element, they come out with decreasing minima once reversed."""
     n = sum(lam)
     if ground is None:
         ground = tuple(range(1, n + 1))
@@ -262,7 +268,7 @@ def _decode(
             cycle.append(available.pop(pick - 1))
         shapes.append(gamma)
         cycles.append(tuple(cycle))
-    return tuple(reversed(shapes)), Permutation.from_cycles(list(reversed(cycles)))
+    return tuple(reversed(shapes)), tuple(reversed(cycles))
 
 
 def f_lambda_inv(filling: Filling, sigma: Permutation) -> ChoiceSequence:
@@ -272,13 +278,14 @@ def f_lambda_inv(filling: Filling, sigma: Permutation) -> ChoiceSequence:
     chain = chain_of(filling)
     if chain is None:
         raise ValueError("label prefixes are not partition diagrams")
-    return _encode(chain, sigma)
+    return _encode(chain, sigma.canonical_cycles())
 
 
-def _encode(chain: Chain, sigma: Permutation) -> ChoiceSequence:
-    """f_lambda_inv of the survivor whose S is given by its chain."""
-    available = sorted(sigma.ground)
-    cycles = list(sigma.canonical_cycles())
+def _encode(chain: Chain, cycles: Cycles) -> ChoiceSequence:
+    """f_lambda_inv of the survivor whose S is given by its chain and sigma
+    by its canonical cycles."""
+    available = sorted(x for cycle in cycles for x in cycle)
+    cycles = list(cycles)
     out: list[int] = []
     for inner, outer in reversed(list(zip(chain, chain[1:]))):
         out.append(border_number_of_hook(outer, inner))
@@ -355,16 +362,15 @@ class RhtTriple(_TableauPair):
         )
 
 
-def _transport(
-    t_head: Chain, cycles: tuple[tuple[int, ...], ...], gamma: Partition
-) -> tuple[Chain, Permutation]:
+def _transport(t_head: Chain, cycles: Cycles, gamma: Partition) -> tuple[Chain, Cycles]:
     """Carry the survivor pinned at t_head[-2], whose permutation has these
     canonical cycles, through its choice sequence to the survivor pinned at
-    gamma: f_mu_rho(mu, gamma, f_mu_rho_inv(...)) on chains, mu = t_head[-1]."""
-    sigma = Permutation.from_cycles(list(cycles))
-    seq = _encode(t_head, sigma)[1:]
+    gamma: f_mu_rho(mu, gamma, f_mu_rho_inv(...)) on chains and cycle
+    tuples, mu = t_head[-1]."""
+    seq = _encode(t_head, cycles)[1:]
     mu = t_head[-1]
-    return _decode(mu, (border_number_of_hook(mu, gamma),) + seq, sigma.ground)
+    ground = tuple(x for cycle in cycles for x in cycle)
+    return _decode(mu, (border_number_of_hook(mu, gamma),) + seq, ground)
 
 
 def rht_involution(triple: RhtTriple, trace: list | None = None) -> RhtTriple | None:
@@ -380,14 +386,14 @@ def rht_involution(triple: RhtTriple, trace: list | None = None) -> RhtTriple | 
     j, gamma_new = _strip_and_swap(s, t, rimhook_pair, triple._memo, trace)
     cycles = triple.sigma.canonical_cycles()
     t_head = t[: j + 2]
-    head, sigma_next = triple._memo(_transport, t_head, cycles[: j + 1], gamma_new)
+    head, cycles_next = triple._memo(_transport, t_head, cycles[: j + 1], gamma_new)
     if trace is not None:
         sigma_prime = Permutation.from_cycles(list(cycles[: j + 1]))
+        sigma_next = Permutation.from_cycles(list(cycles_next))
         before = {"T": filling_of(t_head).to_json(), "sigma": sigma_prime.to_json()}
         after = {"T": filling_of(head).to_json(), "sigma": sigma_next.to_json()}
         _trace_step(trace, "f_transport", before, after)
-    out_cycles = sigma_next.canonical_cycles() + cycles[j + 1 :]
-    sigma_out = Permutation.from_cycles(list(out_cycles))
+    sigma_out = Permutation.from_cycles(list(cycles_next + cycles[j + 1 :]))
     return _restore(triple, head[:-1] + (s[j + 1],), head, j, trace, sigma_out)
 
 
@@ -420,16 +426,26 @@ class PairingReport:
         )
 
 
+def _srht_chains(mu: Partition) -> list[Chain]:
+    """The chains of every special rim-hook tableau of shape mu: one walk
+    down srh_removals to (), which the empty tableau's chain ((),) ends.
+    Each content has at most one tableau, so no content is listed twice."""
+    if not mu:
+        return [((),)]
+    return [chain + (mu,) for gamma, _, _ in srh_removals(mu) for chain in _srht_chains(gamma)]
+
+
 def _all_kostka_pairs(lam: Partition, mu: Partition) -> list[KostkaPair]:
-    """The pair set of (lam, mu), every pair sharing one fresh memo."""
+    """The pair set of (lam, mu), every pair sharing one fresh memo: each
+    special rim-hook tableau T of shape mu with every semistandard tableau
+    of shape lam and T's content."""
     seeds = {"_memo": _Memo()}
     out = []
-    for beta in compositions(sum(lam)):
-        found = srht_find(mu, beta)
-        if found is None:
-            continue
+    for chain in _srht_chains(mu):
+        t = filling_of(chain)
+        beta = tuple(sum(outer) - sum(inner) for inner, outer in zip(chain, chain[1:]))
         for s in enumerate_ssyt(lam, beta):
-            out.append(_build(KostkaPair, seeds, s, found[0]))
+            out.append(_build(KostkaPair, seeds, s, t))
     return out
 
 
@@ -460,32 +476,36 @@ def verify_pairing(app: str, lam: Partition, mu: Partition) -> PairingReport:
     map o map = id, sign reversal off fixed points, shape preservation, and
     the fixed-point census matching the matrix identity.
 
-    The pair set shares one memo made for this call and every image carries
-    it, so each distinct local pairing, tableau check, chain <-> Filling
-    conversion and transport is worked once per call, while every object is
-    still put through all the constructor's checks.  Nothing of the memo
+    Each object is mapped once, and map o map = id is checked by looking the
+    image up among those results; an image outside the pair set (a map that
+    moves a shape) is mapped directly.  The pair set shares one memo made
+    for this call and every image carries it, so each distinct local
+    pairing, tableau check, chain <-> Filling conversion and transport is
+    worked once per call, while every object and image is still put through
+    all the constructor's checks.  Nothing of the memo or the images
     outlives the call: a pairing patched between two calls is seen by the
     second."""
     if sum(lam) != sum(mu):
         raise ValueError("size mismatch")
     if app == "kostka":
-        objects = _all_kostka_pairs(lam, mu)
-        apply_map = kostka_involution
+        build, apply_map = _all_kostka_pairs, kostka_involution
     elif app == "rimhook":
-        objects = _all_rht_triples(lam, mu)
-        apply_map = rht_involution
+        build, apply_map = _all_rht_triples, rht_involution
     else:
         raise ValueError("unknown application %r" % app)
+    require_partition(lam, mu)
+    objects = build(lam, mu)
+    mapped = [apply_map(obj) for obj in objects]
+    images = dict(zip(objects, mapped))
     shapes = lambda obj: (obj._chains[0][-1], obj._chains[1][-1])
     fixed = 0
     signed_total = 0
     involution_ok = True
     sign_ok = True
     shape_ok = True
-    for obj in objects:
+    for obj, image in zip(objects, mapped):
         sign = obj.sign
         signed_total += sign
-        image = apply_map(obj)
         if image is None:
             fixed += 1
             if sign != 1:
@@ -495,7 +515,10 @@ def verify_pairing(app: str, lam: Partition, mu: Partition) -> PairingReport:
             shape_ok = False
         if image.sign != -sign:
             sign_ok = False
-        back = apply_map(image)
+        try:
+            back = images[image]
+        except KeyError:
+            back = apply_map(image)
         if back != obj:
             involution_ok = False
     return PairingReport(

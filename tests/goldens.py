@@ -132,3 +132,11 @@ MATRIX_SHA256 = {
     "refine-weighted": "43dca35d665b30e2cda97e4edc534381cb9a49b1ea27eef10ecb50ff9f0a8b28",
     "rimhook": "8e93bd4ea0ae02b155692a1d4fd7c11ed5c4857f3b190f320d793891d922e394",
 }
+
+# sha256 of TestAuditOnePass::test_golden_digest's lines per app: the fields
+# of verify_pairing's report, as a JSON list, for every shape pair with
+# n <= 7 (kostka) or n <= 5 (rimhook), n = 0 included
+AUDIT_REPORT_SHA256 = {
+    "kostka": "95a1d09ffb18cfb16eff12a1414cad8ca512556636c7fc6816a0e739b92a70d5",
+    "rimhook": "fb5487e6dbb5113a697af162e49627bcb23338d0889076bb4b126e0512ccbed0",
+}

@@ -15,7 +15,9 @@ These predicates check the same structures directly on the cell set
 dg(lam) - dg(gamma), so the tests can compare the two descriptions.
 
 The ordered-brick-tabloid validator and the two brick bijections are
-here too: the library enumerates tabloids by a chain walk alone.
+here too: the library enumerates tabloids by a chain walk alone.  So is the
+Kostka pair set listed by asking srht_find at every composition: the audit
+walks each shape's special rim-hook tableaux once instead.
 
 The closed forms are the published ones: partial-sum products and
 centralizer orders z_lam, the refinement incidence and Moebius matrices with
@@ -42,6 +44,8 @@ from combinv.core import (
     sort_comp,
 )
 from combinv.framework import IndexedMatrix, build_B, local_terms
+from combinv.involutions import KostkaPair
+from combinv.kostka import enumerate_ssyt, srht_find
 from combinv.refine import cbt_find
 from combinv.rimhook import rimhook_system
 
@@ -603,3 +607,15 @@ def marked_brick_bijection_inv(alpha, marked_brick, marked_cell):
     swapped[marked_brick - 1], swapped[-1] = swapped[-1], swapped[marked_brick - 1]
     new_cell = sum(swapped[: marked_brick - 1]) + marked_cell - (n - alpha[-1])
     return tuple(swapped), new_cell
+
+
+def kostka_pairs_by_composition(lam, mu):
+    """The Kostka pair set of (lam, mu): at every composition beta with a
+    special rim-hook tableau of shape mu, that tableau with each
+    semistandard tableau of shape lam and content beta."""
+    out = []
+    for beta in compositions(sum(lam)):
+        found = srht_find(mu, beta)
+        if found is not None:
+            out += [KostkaPair(s, found[0]) for s in enumerate_ssyt(lam, beta)]
+    return out

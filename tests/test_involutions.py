@@ -1,5 +1,8 @@
+import hashlib
 import json
+import re
 import sys
+from dataclasses import astuple
 from itertools import permutations as all_permutations, product
 from math import factorial
 
@@ -11,6 +14,7 @@ from combinv.involutions import (
     RhtTriple,
     _all_kostka_pairs,
     _all_rht_triples,
+    _srht_chains,
     f_lambda,
     f_lambda_inv,
     f_mu_rho,
@@ -21,7 +25,8 @@ from combinv.involutions import (
     verify_pairing,
 )
 from combinv.rimhook import Permutation, cyc_comp, enumerate_rht
-from oracles import cells_of, diagram
+from goldens import AUDIT_REPORT_SHA256
+from oracles import cells_of, diagram, kostka_pairs_by_composition
 
 
 def all_choice_sequences(n):
@@ -303,6 +308,7 @@ class TestRhtInvolution:
         monkeypatch.setattr(involutions, "rht_involution", move_t)
         report = verify_pairing("rimhook", (2, 1), (2, 1))
         assert report.size > 0 and not report.shape_preserved_ok
+        assert not report.involution_ok
 
     def test_fixed_point_census_small(self):
         report = verify_pairing("rimhook", (2, 1), (2, 1))
@@ -365,3 +371,86 @@ class TestAuditMemo:
             live["broken"] = broken
             report = verify_pairing(app, lam, mu)
             assert report.passed != broken, report
+
+
+class TestAuditOnePass:
+    @pytest.mark.parametrize("app, top", [("kostka", 7), ("rimhook", 5)])
+    def test_golden_digest(self, app, top):
+        # every report field, for every shape pair, as the audit gave it
+        # when it mapped each object twice and scanned every composition
+        lines = [
+            json.dumps(astuple(verify_pairing(app, lam, mu)))
+            for n in range(top + 1)
+            for lam in partitions(n)
+            for mu in partitions(n)
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == AUDIT_REPORT_SHA256[app]
+
+    @pytest.mark.parametrize("app", ["kostka", "rimhook"])
+    @pytest.mark.parametrize(
+        "lam, mu, bad", [((1, 2), (3,), (1, 2)), ((3,), (1, 2), (1, 2)),
+                         ((2, 0), (2,), (2, 0)), ((2,), (2, 0), (2, 0))]
+    )
+    def test_non_partition_shape(self, app, lam, mu, bad):
+        with pytest.raises(ValueError, match=re.escape("%s is not a partition" % (bad,))):
+            verify_pairing(app, lam, mu)
+
+    @pytest.mark.parametrize("app", ["kostka", "rimhook"])
+    @pytest.mark.parametrize("lam", [(), (1,)])
+    def test_smallest_shapes(self, app, lam):
+        report = verify_pairing(app, lam, lam)
+        assert report.size == 1 and report.passed
+
+    @pytest.mark.parametrize("app, n", [("kostka", 5), ("rimhook", 4)])
+    def test_each_object_is_mapped_once(self, monkeypatch, app, n):
+        from combinv import involutions
+
+        name = {"kostka": "kostka_involution", "rimhook": "rht_involution"}[app]
+        original = getattr(involutions, name)
+        calls = []
+
+        def counting(obj, trace=None):
+            calls.append(obj)
+            return original(obj, trace)
+
+        monkeypatch.setattr(involutions, name, counting)
+        for lam in partitions(n):
+            for mu in partitions(n):
+                calls.clear()
+                report = verify_pairing(app, lam, mu)
+                assert report.passed and len(calls) == report.size
+
+    @pytest.mark.parametrize(
+        "app, lam, mu", [("kostka", (3, 1), (1, 1, 1, 1)), ("rimhook", (2, 1), (1, 1, 1))]
+    )
+    def test_audit_flags_a_three_cycle(self, monkeypatch, app, lam, mu):
+        from combinv import involutions
+
+        # each object goes to the next of its group of three; a map that is
+        # looked up once per object must still see that the image of the
+        # image is not the object
+        build = {"kostka": _all_kostka_pairs, "rimhook": _all_rht_triples}[app]
+        objects = build(lam, mu)
+        assert len(objects) % 3 == 0
+        nxt = {}
+        for k in range(0, len(objects), 3):
+            a, b, c = objects[k : k + 3]
+            nxt.update({a: b, b: c, c: a})
+        name = {"kostka": "kostka_involution", "rimhook": "rht_involution"}[app]
+        monkeypatch.setattr(involutions, name, lambda obj, trace=None: nxt[obj])
+        report = verify_pairing(app, lam, mu)
+        assert report.size == len(objects) and not report.involution_ok
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_srht_walk_matches_the_composition_scan(self, n):
+        for mu in partitions(n):
+            contents = [
+                tuple(sum(b) - sum(a) for a, b in zip(chain, chain[1:]))
+                for chain in _srht_chains(mu)
+            ]
+            assert len(contents) == len(set(contents))
+            for lam in partitions(n):
+                pairs = _all_kostka_pairs(lam, mu)
+                assert len(pairs) == len(set(pairs))
+                assert set(pairs) == set(kostka_pairs_by_composition(lam, mu))
