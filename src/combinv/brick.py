@@ -7,12 +7,15 @@ the chain walk over that step.  The A-family counts these tabloids: its
 successors `part_decrements` are the same step on the sorted shape, each
 weighted by the number of rows it can shrink.  The B-family weighs row
 tilings by their last-brick lengths and divides by the partial-sum product
-of the row profile.
+of the row profile.  A shape's part decrements and sub-multisets of every
+size are listed once, in one pass, and cached per shape; the successor
+functions answer each size from that table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     Composition,
@@ -57,29 +60,49 @@ def enumerate_obt(lam: Partition, beta: Composition) -> list[Filling]:
 # The local system
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _decrement_table(lam: Partition) -> dict[int, list[Partition]]:
+    """part_decrements of lam for every size: one decrement per distinct
+    part and size, largest part first.  Size 0 leaves lam itself."""
+    table: dict[int, list[Partition]] = {0: [lam]} if lam else {}
+    for part in dict.fromkeys(lam):
+        row = lam.index(part)
+        for length in range(1, part + 1):
+            rows = lam[:row] + (part - length,) + lam[row + 1 :]
+            table.setdefault(length, []).append(sort_comp(filter(None, rows)))
+    return table
+
+
 def part_decrements(lam: Partition, length: int) -> list[Partition]:
     """Partitions from replacing one part i >= length of lam by i - length,
     largest decremented part first."""
-    shrunk = (sort_comp(filter(None, rows)) for rows in _row_shrinks(lam, length))
-    return list(dict.fromkeys(shrunk))
+    return list(_decrement_table(lam).get(length, ()))
+
+
+@lru_cache(maxsize=None)
+def _sub_multiset_table(mu: Partition) -> dict[int, list[Partition]]:
+    """sub_multisets_of_size of mu for every size, in one enumeration of how
+    many of each distinct part to delete, larger parts varying slowest, most
+    first; each kept multiset is filed under the size it deletes."""
+    takes = [((), 0)]  # (kept parts, size deleted)
+    for value in sorted(set(mu), reverse=True):
+        count = multiplicity(mu, value)
+        takes = [
+            (kept + (value,) * (count - take), removed + take * value)
+            for kept, removed in takes
+            for take in range(count, -1, -1)
+        ]
+    table: dict[int, list[Partition]] = {}
+    for kept, removed in takes:
+        table.setdefault(removed, []).append(kept)
+    return table
 
 
 def sub_multisets_of_size(mu: Partition, removed: int) -> list[Partition]:
     """Sub-multisets of mu obtained by deleting parts summing to `removed`,
     by the number of each distinct part deleted, larger parts varying
     slowest, most first."""
-    takes = [((), removed)]  # (kept parts, size left to delete)
-    below = sum(mu)  # total of the parts not yet decided
-    for value in sorted(set(mu), reverse=True):
-        count = multiplicity(mu, value)
-        below -= count * value
-        takes = [
-            (kept + (value,) * (count - take), left - take * value)
-            for kept, left in takes
-            for take in range(min(count, left // value), -1, -1)
-            if left - take * value <= below
-        ]
-    return [kept for kept, left in takes if not left]
+    return list(_sub_multiset_table(mu).get(removed, ()))
 
 
 def obt_system() -> LocalSystem:

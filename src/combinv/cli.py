@@ -23,8 +23,9 @@ MAX_N = 12
 
 # Above these n, `verify` is refused.  kostka, rimhook and brick check the
 # global identity on P(n) alone; in-process global + local check at the
-# bound, four runs each on a 2-vCPU Intel Xeon with CPython 3.11.7: kostka
-# n = 18 2.2-2.7 s, brick n = 18 2.4-2.5 s, rimhook n = 16 2.5-2.7 s.
+# bound, three runs each on a 2-vCPU Intel Xeon with CPython 3.11.7: kostka
+# n = 18 1.8-1.9 s, brick n = 18 1.4-1.7 s, rimhook n = 16 1.9-2.6 s, with
+# a peak RSS of at most 46.3 MiB.
 MAX_VERIFY_N = {
     "kostka": 18,
     "rimhook": 16,
@@ -39,9 +40,11 @@ MAX_VERIFY_N = {
 MAX_ENUMERATE_N = 8
 
 # Above this n = |lambda|, `local` and `pair` are refused.  The slowest shapes
-# measured at n = 90 are brick's mu maximising prod(m_i + 1) over its part
-# multiplicities m_i (7.2 s; 9.6 s at n = 92), its conjugate for kostka (2.6 s)
-# and 1^90 for rimhook (0.2 s); `pair` answers any shape at n = 90 within 0.02 s.
+# found at n = 90 are brick's mu maximising prod(m_i + 1) over its part
+# multiplicities m_i, its conjugate for kostka and 1^90 for rimhook: `local`
+# on them took 0.21-0.23 s, 0.12-0.14 s and 0.01 s in-process, three runs
+# each on the same host, peak RSS at most 49.1 MiB; `pair` answers any shape
+# at n = 90 within 0.02 s.
 MAX_LOCAL_N = 90
 
 # Above this, `abacus` refuses a --partition part, --beads or a --move position:

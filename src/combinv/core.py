@@ -110,8 +110,8 @@ def last_part_sum(mu: Partition) -> int:
         raise ValueError("undefined for the empty partition")
     ell = len(mu)
     ways = factorial(ell)
-    for mult in Counter(mu).values():
-        ways //= factorial(mult)
+    for value in set(mu):
+        ways //= factorial(mu.count(value))
     total = sum(mu) * ways
     if total % ell:
         raise AssertionError("last_part_sum is not integral")
@@ -129,7 +129,14 @@ def multiplicity(lam: Partition, i: int) -> int:
 
 def multiset_diff(lam: Partition, mu: Partition) -> Partition:
     """Multiset difference; multiplicities clamp at zero."""
-    return tuple(sorted((Counter(lam) - Counter(mu)).elements(), reverse=True))
+    rest = list(mu)
+    out = []
+    for part in lam:
+        if part in rest:
+            rest.remove(part)
+        else:
+            out.append(part)
+    return tuple(sorted(out, reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ building a Permutation only for an image's sigma (and for a trace).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations as _itertools_permutations
 from math import factorial
 
@@ -60,6 +60,7 @@ from .rimhook import (
 
 ChoiceSequence = tuple[int, ...]
 Cycles = tuple[tuple[int, ...], ...]
+Images = tuple[int, ...]  # a permutation of 1..n as the images of 1, ..., n
 
 
 class _Memo:
@@ -449,21 +450,35 @@ def _all_kostka_pairs(lam: Partition, mu: Partition) -> list[KostkaPair]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _permutations_by_content(
+    n: int,
+) -> tuple[tuple[Composition, tuple[Images, ...]], ...]:
+    """The permutations of 1..n as image tuples, grouped by cycle composition
+    in order of first appearance.  Tuples only: what the cache holds
+    cannot be changed by any caller."""
+    ground = tuple(range(1, n + 1))
+    by_content: dict[Composition, list[Images]] = {}
+    for images in _itertools_permutations(ground):
+        sigma = Permutation(dict(zip(ground, images)))
+        by_content.setdefault(cyc_comp(sigma), []).append(images)
+    return tuple((beta, tuple(group)) for beta, group in by_content.items())
+
+
 def _all_rht_triples(lam: Partition, mu: Partition) -> list[RhtTriple]:
     """The triple set of (lam, mu), every triple sharing one fresh memo; the
-    n! permutations are grouped by cycle composition once."""
+    permutations come grouped by cycle composition once per n, and a
+    Permutation is made, once per call, only where both shapes have a
+    rim-hook tableau of its content."""
     seeds = {"_memo": _Memo()}
-    n = sum(lam)
-    by_content: dict[Composition, list[Permutation]] = {}
-    for perm in _itertools_permutations(range(1, n + 1)):
-        sigma = Permutation(dict(zip(range(1, n + 1), perm)))
-        by_content.setdefault(cyc_comp(sigma), []).append(sigma)
+    ground = tuple(range(1, sum(lam) + 1))
     out = []
-    for beta, sigmas in by_content.items():
+    for beta, group in _permutations_by_content(len(ground)):
         left = enumerate_rht(lam, beta)
-        if not left:
+        right = left if mu == lam or not left else enumerate_rht(mu, beta)
+        if not right:
             continue
-        right = left if mu == lam else enumerate_rht(mu, beta)
+        sigmas = [Permutation(dict(zip(ground, images))) for images in group]
         for s, _ in left:
             for t, _ in right:
                 for sigma in sigmas:

@@ -4,9 +4,15 @@ The A-family counts semistandard Young tableaux (Kostka numbers on a
 rectangular P(n) x C(n) index set); the B-family counts signed special
 rim-hook tableaux, of which at most one exists per (shape, content).  Each
 removal is the shape it leaves; a special rim hook is a column-1 border hook.
+A shape's horizontal strips and special rim hooks of every size are listed
+once, in one pass, and cached per shape; the successor functions answer
+each size from that table.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import product
 
 from .core import (
     Chain,
@@ -36,25 +42,26 @@ def is_ssyt(chain: Chain, lam: Partition, beta: Composition) -> bool:
     return is_chain_tableau(chain, lam, beta, is_strip_removal)
 
 
+@lru_cache(maxsize=None)
+def _strip_table(lam: Partition) -> dict[int, list[Partition]]:
+    """strip_removals of lam for every size, in one pass: row i keeps lam_i
+    down to lam_(i+1) cells (0 for the last row), the rows' choices run in
+    descending lexicographic order, and each gamma is filed under the size
+    |lam| - |gamma| of its strip."""
+    size = sum(lam)
+    table: dict[int, list[Partition]] = {}
+    lows = lam[1:] + (0,)
+    for kept in product(*(range(hi, lo - 1, -1) for hi, lo in zip(lam, lows))):
+        length = size - sum(kept)
+        if length:
+            table.setdefault(length, []).append(kept if kept[-1] else kept[:-1])
+    return table
+
+
 def strip_removals(lam: Partition, length: int) -> list[Partition]:
-    """Partitions gamma inside lam with lam/gamma a horizontal strip of `length`."""
-    target = sum(lam) - length
-    if length < 1 or target < 0:
-        return []
-    out: list[Partition] = []
-
-    def rec(i: int, remaining: int, acc: tuple[int, ...]):
-        if i == len(lam):
-            if remaining == 0:
-                out.append(tuple(p for p in acc if p))
-            return
-        low = lam[i + 1] if i + 1 < len(lam) else 0
-        hi = min(lam[i], remaining)
-        for g in range(hi, low - 1, -1):
-            rec(i + 1, remaining - g, acc + (g,))
-
-    rec(0, target, ())
-    return out
+    """Partitions gamma inside lam with lam/gamma a horizontal strip of
+    `length`, in descending lexicographic order."""
+    return list(_strip_table(lam).get(length, ()))
 
 
 def enumerate_ssyt(lam: Partition, beta: Composition) -> list[Filling]:
@@ -78,11 +85,19 @@ def srh_removals(mu: Partition) -> list[tuple[Partition, int, int]]:
     return [border_hook(mu, (i, 1)) for i in range(1, len(mu) + 1)]
 
 
+@lru_cache(maxsize=None)
+def _srh_table(mu: Partition) -> dict[int, list[Partition]]:
+    """srh_successors of mu for every size, from one srh_removals."""
+    table: dict[int, list[Partition]] = {}
+    for gamma, size, _ in srh_removals(mu):
+        table.setdefault(size, []).append(gamma)
+    return table
+
+
 def srh_successors(mu: Partition, length: int) -> list[Partition]:
     """The shapes left by removing a special rim-hook of size `length`: at most
     one, as the hook of row i has size mu_i + len(mu) - i, the hook length of (i, 1)."""
-    rows = [i for i, part in enumerate(mu, start=1) if part + len(mu) - i == length]
-    return [border_hook(mu, (i, 1))[0] for i in rows]
+    return list(_srh_table(mu).get(length, ()))
 
 
 def srht_find(mu: Partition, beta: Composition) -> tuple[Filling, int] | None:

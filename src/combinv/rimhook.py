@@ -6,12 +6,15 @@ rescales each row by the reciprocal of the partial-sum product of its key.
 Rim-hook removal/addition is mirrored on abaci as bead jumps, which is how
 the off-diagonal cancellation is computed.  A removable rim hook is the
 border hook of a cell, numbered in reading order, given by the shape it leaves.
+A shape's removable rim hooks of every size are listed once and cached per
+shape; hook_successors answers each size from that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     Cell,
@@ -78,20 +81,20 @@ def border_number_of_hook(shape: Partition, gamma: Partition) -> int:
 # Rim-hook tableaux
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _hook_table(shape: Partition) -> dict[int, list[Partition]]:
+    """hook_successors of shape for every size, from one hook_removals."""
+    table: dict[int, list[Partition]] = {}
+    for gamma, size, _ in hook_removals(shape):
+        table.setdefault(size, []).append(gamma)
+    return table
+
+
 def hook_successors(shape: Partition, length: int) -> list[Partition]:
     """The shapes left by removing a border rim-hook of size `length`, in
     reading order: the border hooks of the cells (i, j) whose hook length
     lam_i - j + lam'_j - i + 1 is `length`, at most one per row."""
-    conj = [0] * (shape[0] if shape else 0)
-    for part in shape:
-        for j in range(part):
-            conj[j] += 1
-    return [
-        border_hook(shape, (i, j))[0]
-        for i, part in enumerate(shape, start=1)
-        for j in range(1, part + 1)
-        if part - j + conj[j - 1] - i + 1 == length
-    ]
+    return list(_hook_table(shape).get(length, ()))
 
 
 def enumerate_rht(lam: Partition, beta: Composition) -> list[tuple[Filling, int]]:

@@ -140,3 +140,13 @@ AUDIT_REPORT_SHA256 = {
     "kostka": "95a1d09ffb18cfb16eff12a1414cad8ca512556636c7fc6816a0e739b92a70d5",
     "rimhook": "fb5487e6dbb5113a697af162e49627bcb23338d0889076bb4b126e0512ccbed0",
 }
+
+# sha256 of test_removal_tables.py::test_golden_digest's lines per function:
+# "lam L result" for every partition lam with n <= 12 and every L in 0..n+1
+SUCCESSOR_SHA256 = {
+    "strip_removals": "e114f1de1e77cb540b53df29a1eda26240f4ad611ec27971645b15d2dbb9ad7a",
+    "srh_successors": "ecb1eee176729d4f11fcce308a178777533172d40a82d92bc5a4e8c3ad9fc2a0",
+    "hook_successors": "1139ba54e0652e21c8c05c679010b7eb3d1d467157755f32091e9873d18d758e",
+    "part_decrements": "f310433db0eb3fba5fdd57776763519c6f59fba7586b3a127075a14cc7c23921",
+    "sub_multisets_of_size": "f9acc1626a490436c27886a41b626a01af804c7ec26de5c462ae0824f50205c0",
+}

@@ -241,6 +241,15 @@ def centralizer_order(lam):
     return out
 
 
+def last_part_sum_multinomial(mu):
+    """(|mu|/len(mu)) * multinomial(len(mu); multiplicities), with the
+    multiplicities counted by a Counter: the reference for last_part_sum."""
+    ways = factorial(len(mu))
+    for mult in Counter(mu).values():
+        ways //= factorial(mult)
+    return sum(mu) * ways // len(mu)
+
+
 def multiset_intersect(lam, mu):
     return tuple(sorted((Counter(lam) & Counter(mu)).elements(), reverse=True))
 

@@ -33,6 +33,7 @@ from oracles import (
     is_horizontal_strip,
     is_rim_hook,
     is_special_rim_hook,
+    last_part_sum_multinomial,
     multiset_intersect,
     multiset_union,
     partial_sum_product,
@@ -185,6 +186,11 @@ class TestLastPartSum:
             rearrangements = [c for c in compositions(n) if sort_comp(c) == mu]
             assert last_part_sum(mu) == sum(c[-1] for c in rearrangements)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_multinomial_formula(self, n):
+        for mu in partitions(n):
+            assert last_part_sum(mu) == last_part_sum_multinomial(mu)
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_deletion_recursion(self, n):
         for mu in partitions(n):
@@ -205,6 +211,14 @@ class TestMultisets:
     def test_self(self):
         lam = (3, 2)
         assert multiset_diff(lam, lam) == ()
+
+    def test_clamps_at_zero(self):
+        assert multiset_diff((3, 1, 1), (2, 1, 1, 1)) == (3,)
+        assert multiset_diff((2, 2), (3, 2, 2, 2)) == ()
+
+    def test_unsorted_subtrahend(self):
+        assert multiset_diff((4, 3, 1, 1), (1, 4, 2)) == (3, 1)
+        assert multiset_diff((5, 2, 2, 1), (2, 1, 2)) == (5,)
 
     def test_multiplicity(self):
         assert multiplicity((3, 3, 2), 3) == 2
