@@ -193,10 +193,10 @@ def _cmd_involute(args) -> tuple[int, str]:
         obj = kind.from_json(data)
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(str(exc)) from exc
-    try:
+    try:  # obj passed every check, so a failure here is the involution's
         image = apply_map(obj, trace)
     except (ValueError, KeyError) as exc:
-        raise InputError(str(exc)) from exc
+        raise AssertionError(str(exc)) from exc
     result = {"fixed": image is None}
     if image is not None:
         result.update(image.to_json())

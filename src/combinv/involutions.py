@@ -8,25 +8,29 @@ restore the stripped structures with renumbered labels.  The rim-hook
 variant additionally transports a permutation through choice sequences, so
 that the diagonal fixed-point count is exactly n! per shape.
 
-An exhaustive audit meets the same shapes, chains and tableaux over and over.
-Each pair or triple carries a `_Memo`, which does the pure work it is asked
-for once per distinct input: the local pairing at (lam_bar, mu_bar), the
-tableau check of a (chain, shape, content), chain_of / filling_of, a
-Filling's content, a chain's sign and the choice-sequence transport.  The
-pair set of one `verify_pairing` call shares one memo and every image the
-involutions build carries its input's; a pair or triple built by any other
-caller starts a fresh one.  No memo is kept at module level, so none outlives
-the objects that carry it.  The audit itself maps each object of the pair
-set once and checks map o map = id by looking the image's image up among
-those results; it lists the special rim-hook tableaux of a shape with one
-walk down their chains, and the transport passes canonical cycle tuples,
-building a Permutation only for an image's sigma (and for a trace).
+Every pair and triple is built by its dataclass constructor, which checks
+it and derives the chains of its two Fillings.  An exhaustive audit meets
+the same shapes, chains and tableaux over and over, so each object carries
+a `_Memo` in its one private field, `_memo` (keyword-only, outside equality,
+hashing and repr), which does the pure work it is asked for once per
+distinct input: the local pairing at (lam_bar, mu_bar), the tableau check
+of a (chain, shape, content), chain_of / filling_of, a Filling's content, a
+chain's sign and the choice-sequence transport.  The pair set of one
+`verify_pairing` call is built with one memo, and the involutions build
+every image with its input's; a pair or triple built without one, by any
+other caller or by `from_json`, starts a fresh one.  No memo is kept at
+module level, so none outlives the objects that carry it.  The audit itself
+maps each object of the pair set once and checks map o map = id by looking
+the image's image up among those results; it lists the special rim-hook
+tableaux of a shape with one walk down their chains, and the transport
+passes canonical cycle tuples, building a Permutation only for an image's
+sigma (and for a trace).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations as _itertools_permutations
 from math import factorial
 
@@ -120,38 +124,15 @@ def _restore(
     source, s_head: Chain, t_head: Chain, j: int, trace, *rest
 ) -> KostkaPair | RhtTriple:
     """Push the shapes of source stripped above index j+1 back onto the new
-    heads, and build the output pair or triple from the two chains: its
-    constructor checks them instead of deriving them again."""
+    heads, and build the output pair or triple from the two chains with
+    source's constructor, carrying source's memo."""
     s, t = source._chains
     for k in range(j + 2, len(s)):
         s_head, t_head = s_head + (s[k],), t_head + (t[k],)
         _trace_chains(trace, "restore", len(s_head) - 1, s_head, t_head)
     memo = source._memo
     fillings = memo(filling_of, s_head), memo(filling_of, t_head)
-    seeds = {"_memo": memo, "_chains": (s_head, t_head)}
-    return _build(type(source), seeds, *fillings, *rest)
-
-
-def _build(cls, seeds: dict, *fields) -> KostkaPair | RhtTriple:
-    """The pair or triple cls(*fields) with its cached properties seeded
-    from seeds before the constructor checks it."""
-    obj = cls.__new__(cls)
-    vars(obj).update(seeds)
-    obj.__init__(*fields)
-    return obj
-
-
-class _TableauPair:
-    """The memo and the two chains of a pair or triple with fillings s, t:
-    chain_of of each, None for a filling that is no tableau."""
-
-    @cached_property
-    def _memo(self) -> _Memo:
-        return _Memo()
-
-    @cached_property
-    def _chains(self) -> tuple[Chain | None, Chain | None]:
-        return self._memo(chain_of, self.s), self._memo(chain_of, self.t)
+    return type(source)(*fillings, *rest, _memo=memo)
 
 
 def _row_chain(lam: Partition) -> Chain:
@@ -164,18 +145,20 @@ def _row_chain(lam: Partition) -> Chain:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class KostkaPair(_TableauPair):
+class KostkaPair:
     """A semistandard tableau and a special rim-hook tableau of one content."""
 
     s: Filling
     t: Filling
+    _memo: _Memo = field(default_factory=_Memo, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self):
         memo = self._memo
         beta = memo(Filling.content, self.s)
         if beta != memo(Filling.content, self.t):
             raise ValueError("contents disagree")
-        s, t = self._chains
+        s, t = chains = memo(chain_of, self.s), memo(chain_of, self.t)
+        object.__setattr__(self, "_chains", chains)
         if s is None or not memo(is_ssyt, s, self.s.shape, beta):
             raise ValueError("first component is not semistandard")
         if t is None or not memo(is_srht, t, self.t.shape, beta):
@@ -324,19 +307,21 @@ def f_mu_rho_inv(filling: Filling, sigma: Permutation) -> ChoiceSequence:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RhtTriple(_TableauPair):
+class RhtTriple:
     """Two rim-hook tableaux of one content and a permutation realizing it."""
 
     s: Filling
     t: Filling
     sigma: Permutation
+    _memo: _Memo = field(default_factory=_Memo, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self):
         memo = self._memo
         beta = memo(Filling.content, self.s)
         if beta != memo(Filling.content, self.t) or beta != cyc_comp(self.sigma):
             raise ValueError("contents and cycle composition must all agree")
-        s, t = self._chains
+        s, t = chains = memo(chain_of, self.s), memo(chain_of, self.t)
+        object.__setattr__(self, "_chains", chains)
         if s is None or not memo(is_rht, s, self.s.shape, beta):
             raise ValueError("first component is not a rim-hook tableau")
         if t is None or not memo(is_rht, t, self.t.shape, beta):
@@ -440,13 +425,13 @@ def _all_kostka_pairs(lam: Partition, mu: Partition) -> list[KostkaPair]:
     """The pair set of (lam, mu), every pair sharing one fresh memo: each
     special rim-hook tableau T of shape mu with every semistandard tableau
     of shape lam and T's content."""
-    seeds = {"_memo": _Memo()}
+    memo = _Memo()
     out = []
     for chain in _srht_chains(mu):
         t = filling_of(chain)
         beta = tuple(sum(outer) - sum(inner) for inner, outer in zip(chain, chain[1:]))
         for s in enumerate_ssyt(lam, beta):
-            out.append(_build(KostkaPair, seeds, s, t))
+            out.append(KostkaPair(s, t, _memo=memo))
     return out
 
 
@@ -470,7 +455,7 @@ def _all_rht_triples(lam: Partition, mu: Partition) -> list[RhtTriple]:
     permutations come grouped by cycle composition once per n, and a
     Permutation is made, once per call, only where both shapes have a
     rim-hook tableau of its content."""
-    seeds = {"_memo": _Memo()}
+    memo = _Memo()
     ground = tuple(range(1, sum(lam) + 1))
     out = []
     for beta, group in _permutations_by_content(len(ground)):
@@ -482,7 +467,7 @@ def _all_rht_triples(lam: Partition, mu: Partition) -> list[RhtTriple]:
         for s, _ in left:
             for t, _ in right:
                 for sigma in sigmas:
-                    out.append(_build(RhtTriple, seeds, s, t, sigma))
+                    out.append(RhtTriple(s, t, sigma, _memo=memo))
     return out
 
 

@@ -141,6 +141,15 @@ AUDIT_REPORT_SHA256 = {
     "rimhook": "fb5487e6dbb5113a697af162e49627bcb23338d0889076bb4b126e0512ccbed0",
 }
 
+# sha256 of TestConstruction::test_golden_image_digest's lines per app: each
+# object of the pair set of every shape pair with n <= 5 (kostka) or n <= 4
+# (rimhook), n = 0 included, and its image, as the JSON list [object, image]
+# with a null image at a fixed point
+INVOLUTION_IMAGE_SHA256 = {
+    "kostka": "9c1da27e2f73e3b6a47c4587c2c5ca4599dca5999d991f7f29d798c20c586991",
+    "rimhook": "d99601175c812e6a40206269628c67c00747c5a4310289d1ffdb5f35dfb0fdd7",
+}
+
 # sha256 of test_removal_tables.py::test_golden_digest's lines per function:
 # "lam L result" for every partition lam with n <= 12 and every L in 0..n+1
 SUCCESSOR_SHA256 = {

@@ -517,6 +517,28 @@ class TestInvoluteCommand:
         with pytest.raises(TypeError, match="bug in the involution"):
             run_cli("involute", "--app", "kostka", "--input", str(path))
 
+    @pytest.mark.parametrize(
+        "error, message",
+        [(ValueError("bug in the involution"), "bug in the involution"),
+         (KeyError("gamma"), "'gamma'")],
+    )
+    def test_failure_inside_involution_is_internal(
+        self, tmp_path, capsys, monkeypatch, error, message
+    ):
+        from combinv import involutions
+
+        # the pair passed every constructor check: the involution is at fault
+        def broken(obj, trace=None):
+            raise error
+
+        monkeypatch.setattr(involutions, "kostka_involution", broken)
+        survivor = Filling(((1, 1), (2,))).to_json()
+        path = tmp_path / "fixed.json"
+        path.write_text(json.dumps({"S": survivor, "T": survivor}))
+        code, text = run_cli("involute", "--app", "kostka", "--input", str(path))
+        assert (code, text) == (4, "")
+        assert capsys.readouterr().err == "internal error: %s\n" % message
+
     def test_rimhook_round_trip(self, tmp_path):
         from combinv.involutions import RhtTriple
         from combinv.rimhook import Permutation

@@ -12,6 +12,7 @@ from combinv.core import Filling, chain_of, compositions, partitions
 from combinv.involutions import (
     KostkaPair,
     RhtTriple,
+    _Memo,
     _all_kostka_pairs,
     _all_rht_triples,
     _srht_chains,
@@ -25,7 +26,7 @@ from combinv.involutions import (
     verify_pairing,
 )
 from combinv.rimhook import Permutation, cyc_comp, enumerate_rht
-from goldens import AUDIT_REPORT_SHA256
+from goldens import AUDIT_REPORT_SHA256, INVOLUTION_IMAGE_SHA256
 from oracles import cells_of, diagram, kostka_pairs_by_composition
 
 
@@ -324,8 +325,10 @@ class TestAuditMemo:
         [("kostka", (3, 2), (1,) * 5, 28), ("rimhook", (3, 1, 1), (3, 1, 1), 280)],
     )
     def test_chain_of_runs_once_per_distinct_filling(self, monkeypatch, app, lam, mu, size):
-        # the enumerators hand the audit Fillings; each distinct one is
-        # turned into its chain once, and the images are built from chains
+        # the enumerators hand the audit Fillings, and the involutions hand
+        # the constructor the Fillings of each image; through the memo the
+        # audit's objects and images share, each distinct one is turned
+        # into its chain once
         calls = []
 
         def counting(filling):
@@ -371,6 +374,87 @@ class TestAuditMemo:
             live["broken"] = broken
             report = verify_pairing(app, lam, mu)
             assert report.passed != broken, report
+
+
+APPS = {
+    "kostka": (_all_kostka_pairs, kostka_involution),
+    "rimhook": (_all_rht_triples, rht_involution),
+}
+
+
+def fields_of(obj):
+    """The public fields of a pair or triple, in constructor order."""
+    return (obj.s, obj.t) + ((obj.sigma,) if isinstance(obj, RhtTriple) else ())
+
+
+def some_objects():
+    # the kostka survivor of (2, 1), and a triple whose S and T of shape
+    # (1, 1) and (2,) hold one 2-hook each, with sigma a 2-cycle
+    triple = RhtTriple(
+        Filling(((1,), (1,))), Filling(((1, 1),)), Permutation.from_cycles([(1, 2)])
+    )
+    return kostka_survivor((2, 1)), triple
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("app, top", [("kostka", 5), ("rimhook", 4)])
+    def test_golden_image_digest(self, app, top):
+        # every object of every pair set and its image, as the involutions
+        # gave them when images were built around the constructor
+        build, apply_map = APPS[app]
+        lines = []
+        for n in range(top + 1):
+            for lam in partitions(n):
+                for mu in partitions(n):
+                    for obj in build(lam, mu):
+                        image = apply_map(obj)
+                        image = None if image is None else image.to_json()
+                        lines.append(json.dumps([obj.to_json(), image]))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == INVOLUTION_IMAGE_SHA256[app]
+
+    @pytest.mark.parametrize("app, n", [("kostka", 4), ("rimhook", 3)])
+    def test_image_carries_its_input_memo(self, app, n):
+        build, apply_map = APPS[app]
+        moved = 0
+        for lam in partitions(n):
+            for mu in partitions(n):
+                objects = build(lam, mu)
+                assert all(obj._memo is objects[0]._memo for obj in objects)
+                for obj in objects:
+                    image = apply_map(obj)
+                    if image is not None:
+                        moved += 1
+                        assert image._memo is obj._memo
+        assert moved > 0
+
+    def test_constructor_and_from_json_start_a_fresh_memo(self):
+        for obj in some_objects():
+            again = type(obj)(*fields_of(obj))
+            rebuilt = type(obj).from_json(obj.to_json())
+            assert isinstance(obj._memo, _Memo)
+            assert len({id(obj._memo), id(again._memo), id(rebuilt._memo)}) == 3
+
+    def test_memo_is_outside_equality_and_hashing(self):
+        for obj in some_objects():
+            other = type(obj)(*fields_of(obj), _memo=_Memo())
+            assert other._memo is not obj._memo
+            assert other == obj and hash(other) == hash(obj)
+            assert other._chains == obj._chains
+
+    def test_repr(self):
+        # the memo is no part of the printed form
+        assert repr(kostka_survivor((2, 1))) == (
+            "KostkaPair(s=Filling(((1, 1), (2,))), t=Filling(((1, 1), (2,))))"
+        )
+        assert repr(_all_rht_triples((2,), (1, 1))[0]) == (
+            "RhtTriple(s=Filling(((1, 2),)), t=Filling(((1,), (2,))), sigma=(2)(1))"
+        )
+
+    def test_memo_is_keyword_only(self):
+        for obj in some_objects():
+            with pytest.raises(TypeError, match="positional"):
+                type(obj)(*fields_of(obj), _Memo())
 
 
 class TestAuditOnePass:
