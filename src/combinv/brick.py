@@ -8,14 +8,14 @@ successors `part_decrements` are the same step on the sorted shape, each
 weighted by the number of rows it can shrink.  The B-family weighs row
 tilings by their last-brick lengths and divides by the partial-sum product
 of the row profile.  A shape's part decrements and sub-multisets of every
-size are listed once, in one pass, and cached per shape; the successor
-functions answer each size from that table.
+size are listed once, in one pass; `core.successors_by_size` files them by
+size and answers both successor functions from that table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from typing import Iterator
 
 from .core import (
     Composition,
@@ -28,6 +28,7 @@ from .core import (
     partitions,
     require_partition,
     sort_comp,
+    successors_by_size,
     walk_chains,
 )
 from .framework import LocalSystem
@@ -60,30 +61,26 @@ def enumerate_obt(lam: Partition, beta: Composition) -> list[Filling]:
 # The local system
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _decrement_table(lam: Partition) -> dict[int, list[Partition]]:
-    """part_decrements of lam for every size: one decrement per distinct
-    part and size, largest part first.  Size 0 leaves lam itself."""
-    table: dict[int, list[Partition]] = {0: [lam]} if lam else {}
+@successors_by_size
+def part_decrements(lam: Partition) -> Iterator[tuple[Partition, int]]:
+    """Partitions from replacing one part i >= length of lam by i - length,
+    largest decremented part first: one decrement per distinct part and
+    size.  Size 0 leaves lam itself."""
+    if lam:
+        yield lam, 0
     for part in dict.fromkeys(lam):
         row = lam.index(part)
         for length in range(1, part + 1):
             rows = lam[:row] + (part - length,) + lam[row + 1 :]
-            table.setdefault(length, []).append(sort_comp(filter(None, rows)))
-    return table
+            yield sort_comp(filter(None, rows)), length
 
 
-def part_decrements(lam: Partition, length: int) -> list[Partition]:
-    """Partitions from replacing one part i >= length of lam by i - length,
-    largest decremented part first."""
-    return list(_decrement_table(lam).get(length, ()))
-
-
-@lru_cache(maxsize=None)
-def _sub_multiset_table(mu: Partition) -> dict[int, list[Partition]]:
-    """sub_multisets_of_size of mu for every size, in one enumeration of how
-    many of each distinct part to delete, larger parts varying slowest, most
-    first; each kept multiset is filed under the size it deletes."""
+@successors_by_size
+def sub_multisets_of_size(mu: Partition) -> list[tuple[Partition, int]]:
+    """Sub-multisets of mu obtained by deleting parts summing to `length`,
+    by the number of each distinct part deleted, larger parts varying
+    slowest, most first: one enumeration of how many of each distinct part
+    to delete, each kept multiset with the size it deletes."""
     takes = [((), 0)]  # (kept parts, size deleted)
     for value in sorted(set(mu), reverse=True):
         count = multiplicity(mu, value)
@@ -92,17 +89,7 @@ def _sub_multiset_table(mu: Partition) -> dict[int, list[Partition]]:
             for kept, removed in takes
             for take in range(count, -1, -1)
         ]
-    table: dict[int, list[Partition]] = {}
-    for kept, removed in takes:
-        table.setdefault(removed, []).append(kept)
-    return table
-
-
-def sub_multisets_of_size(mu: Partition, removed: int) -> list[Partition]:
-    """Sub-multisets of mu obtained by deleting parts summing to `removed`,
-    by the number of each distinct part deleted, larger parts varying
-    slowest, most first."""
-    return list(_sub_multiset_table(mu).get(removed, ()))
+    return takes
 
 
 def obt_system() -> LocalSystem:

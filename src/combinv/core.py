@@ -7,7 +7,10 @@ built one incremental structure at a time is its chain of label-prefix shapes
 () = g0, g1, ..., g_m: `walk_chains` lists them from a successor callback, and
 the bijection layer works on them, converting to a Filling only at its public
 surface.  A strip or hook is the pair of shapes gamma inside lam around it,
-never a cell set; `border_hook` is the one hook computation.
+never a cell set; `border_hook` is the one hook computation.  A structure
+is defined by its successor function succ(shape, L) alone, which the matrix
+recursion, `walk_chains` and `is_chain_tableau` all ask; `successors_by_size`
+makes one from a shape's removals and keeps them, filed by size, in a cache.
 Every function here is pure, so the whole module is safe for concurrent use.
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import zip_longest
 from math import factorial, prod
 
@@ -143,13 +146,6 @@ def multiset_diff(lam: Partition, mu: Partition) -> Partition:
 # Diagrams and removal steps on shapes
 # ---------------------------------------------------------------------------
 
-def shape_contains(outer: Partition, inner: Partition) -> bool:
-    """dg(inner) subset of dg(outer), comparing row lengths."""
-    if len(inner) > len(outer):
-        return False
-    return all(a <= b for a, b in zip(inner, outer))
-
-
 def column_length(shape: Partition, col: int) -> int:
     """Number of rows of the diagram having at least `col` cells."""
     return sum(1 for row in shape if row >= col)
@@ -170,25 +166,6 @@ def rht_sign(chain: Chain) -> int:
     return prod(skew_sign(outer, inner) for inner, outer in zip(chain, chain[1:]))
 
 
-def is_strip_removal(lam: Partition, gamma: Partition) -> bool:
-    """lam/gamma is a (possibly empty-checked) horizontal strip."""
-    if not shape_contains(lam, gamma):
-        return False
-    padded = gamma + (0,) * (len(lam) - len(gamma))
-    return all(padded[i] >= lam[i + 1] for i in range(len(lam) - 1))
-
-
-def is_hook_removal(outer: Partition, inner: Partition) -> bool:
-    """outer/inner is a rim hook: it is nonempty, and each of its rows but
-    the last shares exactly one column with the row below (so its rows are
-    consecutive, as a row above one that outer and inner share meets none)."""
-    if not shape_contains(outer, inner):
-        return False
-    padded = inner + (0,) * (len(outer) - len(inner))
-    rows = [r for r, (a, b) in enumerate(zip(outer, padded)) if a != b]
-    return bool(rows) and all(outer[r + 1] - padded[r] == 1 for r in rows[:-1])
-
-
 def border_hook(shape: Partition, cell: Cell) -> tuple[Partition, int, int]:
     """The removable border rim-hook attached to a cell of dg(shape), as the
     shape gamma it leaves, its size |shape| - |gamma| and its sign.
@@ -207,6 +184,28 @@ def border_hook(shape: Partition, cell: Cell) -> tuple[Partition, int, int]:
     new[bottom - 1] = j - 1
     size = shape[i - 1] - j + bottom - i + 1
     return tuple(p for p in new if p), size, -1 if (bottom - i) % 2 else 1
+
+
+def successors_by_size(removals):
+    """Decorator: turn removals(shape), every removal as (gamma, L) in order,
+    into the successor function succ(shape, L), the gammas of size L in that
+    order.  Each shape's removals are filed by size once, in a functools
+    cache that succ.cache_clear empties; every answer is a fresh list."""
+
+    @lru_cache(maxsize=None)
+    def table(shape: Partition) -> dict[int, list[Partition]]:
+        by_size: dict[int, list[Partition]] = {}
+        for gamma, length in removals(shape):
+            by_size.setdefault(length, []).append(gamma)
+        return by_size
+
+    @wraps(removals)
+    def succ(shape: Partition, length: int) -> list[Partition]:
+        return list(table(shape).get(length, ()))
+
+    del succ.__wrapped__  # succ takes (shape, L), not removals' (shape)
+    succ.cache_clear, succ.cache_info = table.cache_clear, table.cache_info
+    return succ
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +300,19 @@ def filling_of(chain: Chain) -> Filling:
 
 
 def is_chain_tableau(
-    chain: Chain, shape: tuple[int, ...], content: Composition, step
+    chain: Chain, shape: tuple[int, ...], content: Composition, succ
 ) -> bool:
     """The chain runs from () to `shape` in nonempty steps of the sizes
-    `content`, and step(outer, inner) is true for each pair of consecutive
-    shapes.  A Filling is checked as chain_of(filling); None is no tableau."""
+    `content`, each shape in succ(next shape, step size): one of the chains
+    walk_chains(succ, shape, content) lists.  A Filling is checked as
+    chain_of(filling); None is no tableau."""
     steps = list(zip(chain, chain[1:]))
     sizes = tuple(sum(outer) - sum(inner) for inner, outer in steps)
     if chain[0] != () or chain[-1] != tuple(shape) or sizes != tuple(content):
         return False
-    return all(sizes) and all(step(outer, inner) for inner, outer in steps)
+    return all(sizes) and all(
+        inner in succ(outer, size) for (inner, outer), size in zip(steps, sizes)
+    )
 
 
 def walk_chains(succ, shape: tuple[int, ...], content: Composition) -> list[Chain]:

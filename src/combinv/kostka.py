@@ -4,15 +4,16 @@ The A-family counts semistandard Young tableaux (Kostka numbers on a
 rectangular P(n) x C(n) index set); the B-family counts signed special
 rim-hook tableaux, of which at most one exists per (shape, content).  Each
 removal is the shape it leaves; a special rim hook is a column-1 border hook.
-A shape's horizontal strips and special rim hooks of every size are listed
-once, in one pass, and cached per shape; the successor functions answer
-each size from that table.
+Each structure is defined once, by its successor function (a shape's strips
+or special rim hooks of every size, listed in one pass and filed by
+`core.successors_by_size`): the recursion, the enumerators, the validators
+and `kostka_pair` all ask it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
+from typing import Iterator
 
 from .core import (
     Chain,
@@ -22,11 +23,11 @@ from .core import (
     border_hook,
     filling_of,
     is_chain_tableau,
-    is_strip_removal,
     partitions,
     require_partition,
     rht_sign,
     skew_sign,
+    successors_by_size,
     walk_chains,
 )
 from .framework import LocalSystem, Pairing
@@ -39,29 +40,23 @@ from .framework import LocalSystem, Pairing
 def is_ssyt(chain: Chain, lam: Partition, beta: Composition) -> bool:
     """Shape lam, content beta, each label class a horizontal strip added to
     a partition diagram (rows weakly increasing, columns strict)."""
-    return is_chain_tableau(chain, lam, beta, is_strip_removal)
+    return is_chain_tableau(chain, lam, beta, strip_removals)
 
 
-@lru_cache(maxsize=None)
-def _strip_table(lam: Partition) -> dict[int, list[Partition]]:
-    """strip_removals of lam for every size, in one pass: row i keeps lam_i
-    down to lam_(i+1) cells (0 for the last row), the rows' choices run in
-    descending lexicographic order, and each gamma is filed under the size
-    |lam| - |gamma| of its strip."""
+@successors_by_size
+def strip_removals(lam: Partition) -> Iterator[tuple[Partition, int]]:
+    """Partitions gamma inside lam with lam/gamma a horizontal strip of
+    `length`, in descending lexicographic order.
+
+    Listed for every size in one pass: row i keeps lam_i down to lam_(i+1)
+    cells (0 for the last row), the rows' choices run in descending
+    lexicographic order, and the size of a strip is |lam| - |gamma|."""
     size = sum(lam)
-    table: dict[int, list[Partition]] = {}
     lows = lam[1:] + (0,)
     for kept in product(*(range(hi, lo - 1, -1) for hi, lo in zip(lam, lows))):
         length = size - sum(kept)
         if length:
-            table.setdefault(length, []).append(kept if kept[-1] else kept[:-1])
-    return table
-
-
-def strip_removals(lam: Partition, length: int) -> list[Partition]:
-    """Partitions gamma inside lam with lam/gamma a horizontal strip of
-    `length`, in descending lexicographic order."""
-    return list(_strip_table(lam).get(length, ()))
+            yield (kept if kept[-1] else kept[:-1]), length
 
 
 def enumerate_ssyt(lam: Partition, beta: Composition) -> list[Filling]:
@@ -85,19 +80,11 @@ def srh_removals(mu: Partition) -> list[tuple[Partition, int, int]]:
     return [border_hook(mu, (i, 1)) for i in range(1, len(mu) + 1)]
 
 
-@lru_cache(maxsize=None)
-def _srh_table(mu: Partition) -> dict[int, list[Partition]]:
-    """srh_successors of mu for every size, from one srh_removals."""
-    table: dict[int, list[Partition]] = {}
-    for gamma, size, _ in srh_removals(mu):
-        table.setdefault(size, []).append(gamma)
-    return table
-
-
-def srh_successors(mu: Partition, length: int) -> list[Partition]:
+@successors_by_size
+def srh_successors(mu: Partition) -> Iterator[tuple[Partition, int]]:
     """The shapes left by removing a special rim-hook of size `length`: at most
     one, as the hook of row i has size mu_i + len(mu) - i, the hook length of (i, 1)."""
-    return list(_srh_table(mu).get(length, ()))
+    return ((gamma, size) for gamma, size, _ in srh_removals(mu))
 
 
 def srht_find(mu: Partition, beta: Composition) -> tuple[Filling, int] | None:
@@ -111,8 +98,7 @@ def srht_find(mu: Partition, beta: Composition) -> tuple[Filling, int] | None:
 def is_srht(chain: Chain, mu: Partition, beta: Composition) -> bool:
     """Each label class a special rim-hook of the right size added to a
     partition diagram."""
-    step = lambda outer, inner: inner in [g for g, _, _ in srh_removals(outer)]
-    return is_chain_tableau(chain, mu, beta, step)
+    return is_chain_tableau(chain, mu, beta, srh_successors)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +131,8 @@ def kostka_pair(lam: Partition, mu: Partition) -> Pairing:
         return Pairing("diagonal", ((lam[:-1], 1),))
     removals = srh_removals(mu)
     first = None
-    for idx, (gamma, _, _) in enumerate(removals):
-        if is_strip_removal(lam, gamma):
+    for idx, (gamma, size, _) in enumerate(removals):
+        if gamma in strip_removals(lam, size):
             first = idx
             break
     if first is None:
@@ -160,7 +146,7 @@ def kostka_pair(lam: Partition, mu: Partition) -> Pairing:
     if i == len(mu):
         raise AssertionError("unreachable: matched removal in the last row")
     g1, _, s1 = removals[i - 1]
-    g2, _, s2 = removals[i]
-    if not is_strip_removal(lam, g2) or s1 == s2:
+    g2, size2, s2 = removals[i]
+    if g2 not in strip_removals(lam, size2) or s1 == s2:
         raise AssertionError("local pairing failed structural check")
     return Pairing("matched", ((g1, s1), (g2, s2)))

@@ -6,15 +6,16 @@ rescales each row by the reciprocal of the partial-sum product of its key.
 Rim-hook removal/addition is mirrored on abaci as bead jumps, which is how
 the off-diagonal cancellation is computed.  A removable rim hook is the
 border hook of a cell, numbered in reading order, given by the shape it leaves.
-A shape's removable rim hooks of every size are listed once and cached per
-shape; hook_successors answers each size from that table.
+A rim hook is defined once, by hook_successors (a shape's removable rim hooks
+of every size, filed by `core.successors_by_size`): the recursion of both
+sides, the enumerator and the validator all ask it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from typing import Iterator
 
 from .core import (
     Cell,
@@ -25,11 +26,11 @@ from .core import (
     border_hook,
     filling_of,
     is_chain_tableau,
-    is_hook_removal,
     partitions,
     require_partition,
     rht_sign,
     skew_sign,
+    successors_by_size,
     walk_chains,
 )
 from .framework import LocalSystem, Pairing
@@ -81,20 +82,12 @@ def border_number_of_hook(shape: Partition, gamma: Partition) -> int:
 # Rim-hook tableaux
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _hook_table(shape: Partition) -> dict[int, list[Partition]]:
-    """hook_successors of shape for every size, from one hook_removals."""
-    table: dict[int, list[Partition]] = {}
-    for gamma, size, _ in hook_removals(shape):
-        table.setdefault(size, []).append(gamma)
-    return table
-
-
-def hook_successors(shape: Partition, length: int) -> list[Partition]:
+@successors_by_size
+def hook_successors(shape: Partition) -> Iterator[tuple[Partition, int]]:
     """The shapes left by removing a border rim-hook of size `length`, in
     reading order: the border hooks of the cells (i, j) whose hook length
     lam_i - j + lam'_j - i + 1 is `length`, at most one per row."""
-    return list(_hook_table(shape).get(length, ()))
+    return ((gamma, size) for gamma, size, _ in hook_removals(shape))
 
 
 def enumerate_rht(lam: Partition, beta: Composition) -> list[tuple[Filling, int]]:
@@ -110,7 +103,7 @@ def enumerate_rht(lam: Partition, beta: Composition) -> list[tuple[Filling, int]
 def is_rht(chain: Chain, lam: Partition, beta: Composition) -> bool:
     """Label classes are rim-hooks of the right sizes and every label prefix
     is a partition diagram."""
-    return is_chain_tableau(chain, lam, beta, is_hook_removal)
+    return is_chain_tableau(chain, lam, beta, hook_successors)
 
 
 def rimhook_system() -> LocalSystem:

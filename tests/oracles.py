@@ -10,9 +10,12 @@ restriction of A to partition keys and the fold of B over the
 rearrangements of each key.
 
 The library works on shapes only: a horizontal strip, rim hook or special
-rim hook is fixed by the two shapes gamma inside lam on either side of it.
-These predicates check the same structures directly on the cell set
-dg(lam) - dg(gamma), so the tests can compare the two descriptions.
+rim hook is fixed by the two shapes gamma inside lam on either side of it,
+and defined by its successor function alone.  These predicates check the
+same structures directly on the cell set dg(lam) - dg(gamma), so the tests
+can compare the two descriptions.  shape_contains, is_strip_removal and
+is_hook_removal decide a strip or hook on the two shapes by a closed rule,
+a third description the successor tables are held against.
 
 The ordered-brick-tabloid validator and the two brick bijections are
 here too: the library enumerates tabloids by a chain walk alone.  So is the
@@ -108,6 +111,32 @@ def hook_sign(cells: frozenset[Cell]) -> int:
     """(-1)^(rows occupied - 1)."""
     rows = {i for i, _ in cells}
     return -1 if (len(rows) - 1) % 2 else 1
+
+
+def shape_contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
+    """dg(inner) subset of dg(outer), comparing row lengths."""
+    if len(inner) > len(outer):
+        return False
+    return all(a <= b for a, b in zip(inner, outer))
+
+
+def is_strip_removal(lam: tuple[int, ...], gamma: tuple[int, ...]) -> bool:
+    """lam/gamma is a (possibly empty-checked) horizontal strip."""
+    if not shape_contains(lam, gamma):
+        return False
+    padded = gamma + (0,) * (len(lam) - len(gamma))
+    return all(padded[i] >= lam[i + 1] for i in range(len(lam) - 1))
+
+
+def is_hook_removal(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
+    """outer/inner is a rim hook: it is nonempty, and each of its rows but
+    the last shares exactly one column with the row below (so its rows are
+    consecutive, as a row above one that outer and inner share meets none)."""
+    if not shape_contains(outer, inner):
+        return False
+    padded = inner + (0,) * (len(outer) - len(inner))
+    rows = [r for r, (a, b) in enumerate(zip(outer, padded)) if a != b]
+    return bool(rows) and all(outer[r + 1] - padded[r] == 1 for r in rows[:-1])
 
 
 def all_fillings(n):

@@ -6,6 +6,8 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+import goldens
+
 from combinv.core import (
     Filling,
     chain_of,
@@ -18,21 +20,33 @@ from combinv.core import (
     multiset_diff,
     partitions,
     sort_comp,
+    successors_by_size,
     walk_chains,
 )
-from combinv.brick import enumerate_obt
-from combinv.kostka import enumerate_ssyt, is_srht, is_ssyt, rht_sign, srht_find
+from combinv.brick import enumerate_obt, part_decrements, sub_multisets_of_size
+from combinv.kostka import (
+    enumerate_ssyt,
+    is_srht,
+    is_ssyt,
+    rht_sign,
+    srh_removals,
+    srh_successors,
+    srht_find,
+    strip_removals,
+)
 from combinv.refine import cbt_find
-from combinv.rimhook import enumerate_rht, is_rht
+from combinv.rimhook import enumerate_rht, hook_successors, is_rht
 from oracles import (
     all_fillings,
     cells_of,
     centralizer_order,
     diagram,
     hook_sign,
+    is_hook_removal,
     is_horizontal_strip,
     is_rim_hook,
     is_special_rim_hook,
+    is_strip_removal,
     last_part_sum_multinomial,
     multiset_intersect,
     multiset_union,
@@ -245,6 +259,74 @@ class TestDiagrams:
         assert column_length((5, 5, 4, 4, 3), 2) == 5
         assert column_length((5, 5, 4, 4, 3), 5) == 2
         assert column_length((5, 5, 4, 4, 3), 6) == 0
+
+
+class TestSuccessorsBySize:
+    def test_removals_run_once_per_shape(self):
+        calls = []
+
+        @successors_by_size
+        def first_parts(shape):
+            """The shape without its first part, a removal of that part's size."""
+            calls.append(shape)
+            return [(shape[1:], shape[0])] if shape else []
+
+        shapes = [(), (1,), (4, 2), (5, 5, 1)]
+        for shape in shapes:
+            for length in range(sum(shape) + 2):
+                expected = [shape[1:]] if shape and length == shape[0] else []
+                assert first_parts(shape, length) == expected
+        assert calls == shapes
+        assert first_parts.cache_info().currsize == len(shapes)
+        first_parts((4, 2), 4)
+        assert calls == shapes
+        first_parts.cache_clear()
+        assert first_parts.cache_info().currsize == 0
+        assert first_parts((4, 2), 4) == [(2,)]
+        assert calls == shapes + [(4, 2)]
+        assert first_parts.__name__ == "first_parts"
+        assert first_parts.__doc__.startswith("The shape without its first part")
+
+    def test_generator_removals_and_fresh_lists(self):
+        @successors_by_size
+        def rows(shape):
+            """Each row, removed whole."""
+            for i, part in enumerate(shape):
+                yield shape[:i] + shape[i + 1 :], part
+
+        assert rows((3, 1, 1), 1) == [(3, 1), (3, 1)]
+        assert rows((3, 1, 1), 3) == [(1, 1)]
+        assert rows((3, 1, 1), 2) == []
+        answer = rows((3, 1, 1), 1)
+        answer.clear()
+        assert rows((3, 1, 1), 1) == [(3, 1), (3, 1)]
+
+    def test_library_names_and_docs_are_kept(self):
+        # goldens.SUCCESSOR_SHA256 and the benchmark tracer find them by name
+        succs = [strip_removals, srh_successors, hook_successors,
+                 part_decrements, sub_multisets_of_size]
+        assert [succ.__name__ for succ in succs] == list(goldens.SUCCESSOR_SHA256)
+        assert all(succ.__doc__ and succ.__qualname__ == succ.__name__ for succ in succs)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_tables_match_shape_predicates(self, n):
+        """Every pair inner, outer with |inner| <= |outer| = n, L their size
+        difference: membership in each successor table agrees with the
+        closed shape rules and with srh_removals."""
+        inners = [inner for m in range(n + 1) for inner in partitions(m)]
+        for outer in partitions(n):
+            special = [gamma for gamma, _, _ in srh_removals(outer)]
+            for inner in inners:
+                length = n - sum(inner)
+                assert (inner in strip_removals(outer, length)) == (
+                    length > 0 and is_strip_removal(outer, inner)
+                ), (outer, inner)
+                assert (inner in hook_successors(outer, length)) == is_hook_removal(
+                    outer, inner
+                ), (outer, inner)
+                assert (inner in srh_successors(outer, length)) == (
+                    inner in special
+                ), (outer, inner)
 
 
 class TestFilling:

@@ -6,7 +6,6 @@ from combinv.core import (
     compositions,
     is_partition,
     partitions,
-    shape_contains,
 )
 from combinv.framework import build_A, build_B
 from combinv.kostka import (
@@ -28,6 +27,7 @@ from oracles import (
     is_horizontal_strip,
     is_rim_hook,
     is_special_rim_hook,
+    shape_contains,
 )
 
 
