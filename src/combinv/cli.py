@@ -43,9 +43,8 @@ MAX_ENUMERATE_N = 8
 # found at n = 90 are brick's mu maximising prod(m_i + 1) over its part
 # multiplicities m_i, its conjugate for kostka and 1^90 for rimhook: `local`
 # on them took 0.21-0.23 s, 0.12-0.14 s and 0.01 s in-process, three runs
-# each on the same host, peak RSS at most 49.1 MiB.  `pair` answers any
-# rimhook shape within 0.02 s; kostka's lists lambda's strips as `local` does,
-# so the same conjugate is slowest: 0.06-0.09 s, 27.7 MiB, against 1^90.
+# each on the same host, peak RSS at most 49.1 MiB; `pair` answers any shape
+# at n = 90 within 0.02 s.
 MAX_LOCAL_N = 90
 
 # Above this, `abacus` refuses a --partition part, --beads or a --move position:

@@ -10,7 +10,8 @@ surface.  A strip or hook is the pair of shapes gamma inside lam around it,
 never a cell set; `border_hook` is the one hook computation.  A structure
 is defined by its successor function succ(shape, L) alone, which the matrix
 recursion, `walk_chains` and `is_chain_tableau` all ask; `successors_by_size`
-makes one from a shape's removals and keeps them, filed by size, in a cache.
+makes one from a shape's removals and keeps them, filed by size, in a cache,
+and answers `holds`, one removal's test, by the table or by a rule on two shapes.
 Every function here is pure, so the whole module is safe for concurrent use.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from itertools import zip_longest
 from math import factorial, prod
 
@@ -186,11 +187,16 @@ def border_hook(shape: Partition, cell: Cell) -> tuple[Partition, int, int]:
     return tuple(p for p in new if p), size, -1 if (bottom - i) % 2 else 1
 
 
-def successors_by_size(removals):
+def successors_by_size(removals=None, *, holds=None):
     """Decorator: turn removals(shape), every removal as (gamma, L) in order,
     into the successor function succ(shape, L), the gammas of size L in that
     order.  Each shape's removals are filed by size once, in a functools
-    cache that succ.cache_clear empties; every answer is a fresh list."""
+    cache that succ.cache_clear empties; every answer is a fresh list.
+    Every removal's size L is |shape| - |gamma|, so succ.holds(shape, gamma),
+    gamma in succ(shape, L), looks in the table or asks a rule on the two
+    shapes: @successors_by_size(holds=rule)."""
+    if removals is None:
+        return partial(successors_by_size, holds=holds)
 
     @lru_cache(maxsize=None)
     def table(shape: Partition) -> dict[int, list[Partition]]:
@@ -205,6 +211,9 @@ def successors_by_size(removals):
 
     del succ.__wrapped__  # succ takes (shape, L), not removals' (shape)
     succ.cache_clear, succ.cache_info = table.cache_clear, table.cache_info
+    succ.holds = holds or (
+        lambda shape, gamma: gamma in table(shape).get(sum(shape) - sum(gamma), ())
+    )
     return succ
 
 
@@ -303,16 +312,14 @@ def is_chain_tableau(
     chain: Chain, shape: tuple[int, ...], content: Composition, succ
 ) -> bool:
     """The chain runs from () to `shape` in nonempty steps of the sizes
-    `content`, each shape in succ(next shape, step size): one of the chains
-    walk_chains(succ, shape, content) lists.  A Filling is checked as
-    chain_of(filling); None is no tableau."""
+    `content`, each shape in succ(next shape, step size), asked through
+    succ.holds: one of the chains walk_chains(succ, shape, content) lists.
+    A Filling is checked as chain_of(filling); None is no tableau."""
     steps = list(zip(chain, chain[1:]))
     sizes = tuple(sum(outer) - sum(inner) for inner, outer in steps)
     if chain[0] != () or chain[-1] != tuple(shape) or sizes != tuple(content):
         return False
-    return all(sizes) and all(
-        inner in succ(outer, size) for (inner, outer), size in zip(steps, sizes)
-    )
+    return all(sizes) and all(succ.holds(outer, inner) for inner, outer in steps)
 
 
 def walk_chains(succ, shape: tuple[int, ...], content: Composition) -> list[Chain]:

@@ -6,8 +6,9 @@ rim-hook tableaux, of which at most one exists per (shape, content).  Each
 removal is the shape it leaves; a special rim hook is a column-1 border hook.
 Each structure is defined once, by its successor function (a shape's strips
 or special rim hooks of every size, listed in one pass and filed by
-`core.successors_by_size`): the recursion, the enumerators, the validators
-and `kostka_pair` all ask it.
+`core.successors_by_size`): the recursion and the enumerators ask its lists,
+the validators and `kostka_pair` its `holds`, which tests one removal on the
+two shapes and never lists a shape's strips.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .core import (
     walk_chains,
 )
 from .framework import LocalSystem, Pairing
+from .rimhook import hook_successors
 
 
 # ---------------------------------------------------------------------------
@@ -43,17 +45,27 @@ def is_ssyt(chain: Chain, lam: Partition, beta: Composition) -> bool:
     return is_chain_tableau(chain, lam, beta, strip_removals)
 
 
-@successors_by_size
+def _kept(lam: Partition) -> Iterator[range]:
+    """Row i of gamma, lam/gamma a horizontal strip, keeps lam_i..lam_(i+1) cells."""
+    return (range(hi, lo - 1, -1) for hi, lo in zip(lam, lam[1:] + (0,)))
+
+
+def _is_strip(lam: Partition, gamma: Partition) -> bool:
+    padded = gamma + (0,) * (len(lam) - len(gamma))
+    return (gamma != lam and len(gamma) <= len(lam) and 0 not in gamma
+            and all(g in kept for g, kept in zip(padded, _kept(lam))))
+
+
+@successors_by_size(holds=_is_strip)
 def strip_removals(lam: Partition) -> Iterator[tuple[Partition, int]]:
     """Partitions gamma inside lam with lam/gamma a horizontal strip of
     `length`, in descending lexicographic order.
 
-    Listed for every size in one pass: row i keeps lam_i down to lam_(i+1)
-    cells (0 for the last row), the rows' choices run in descending
-    lexicographic order, and the size of a strip is |lam| - |gamma|."""
+    Listed for every size in one pass, each row's kept length (`_kept`, the
+    last row's down to 0) in descending order; the size of a strip is
+    |lam| - |gamma|.  `_is_strip` asks the same rule of one gamma."""
     size = sum(lam)
-    lows = lam[1:] + (0,)
-    for kept in product(*(range(hi, lo - 1, -1) for hi, lo in zip(lam, lows))):
+    for kept in product(*_kept(lam)):
         length = size - sum(kept)
         if length:
             yield (kept if kept[-1] else kept[:-1]), length
@@ -80,10 +92,13 @@ def srh_removals(mu: Partition) -> list[tuple[Partition, int, int]]:
     return [border_hook(mu, (i, 1)) for i in range(1, len(mu) + 1)]
 
 
-@successors_by_size
+@successors_by_size(
+    holds=lambda mu, gamma: len(gamma) < len(mu) and hook_successors.holds(mu, gamma)
+)
 def srh_successors(mu: Partition) -> Iterator[tuple[Partition, int]]:
     """The shapes left by removing a special rim-hook of size `length`: at most
-    one, as the hook of row i has size mu_i + len(mu) - i, the hook length of (i, 1)."""
+    one, as the hook of row i has size mu_i + len(mu) - i, the hook length of (i, 1).
+    A special rim hook is the border rim hook that empties mu's last row."""
     return ((gamma, size) for gamma, size, _ in srh_removals(mu))
 
 
@@ -131,8 +146,8 @@ def kostka_pair(lam: Partition, mu: Partition) -> Pairing:
         return Pairing("diagonal", ((lam[:-1], 1),))
     removals = srh_removals(mu)
     first = None
-    for idx, (gamma, size, _) in enumerate(removals):
-        if gamma in strip_removals(lam, size):
+    for idx, (gamma, _, _) in enumerate(removals):
+        if strip_removals.holds(lam, gamma):
             first = idx
             break
     if first is None:
@@ -146,7 +161,7 @@ def kostka_pair(lam: Partition, mu: Partition) -> Pairing:
     if i == len(mu):
         raise AssertionError("unreachable: matched removal in the last row")
     g1, _, s1 = removals[i - 1]
-    g2, size2, s2 = removals[i]
-    if g2 not in strip_removals(lam, size2) or s1 == s2:
+    g2, _, s2 = removals[i]
+    if not strip_removals.holds(lam, g2) or s1 == s2:
         raise AssertionError("local pairing failed structural check")
     return Pairing("matched", ((g1, s1), (g2, s2)))

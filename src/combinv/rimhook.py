@@ -8,7 +8,7 @@ the off-diagonal cancellation is computed.  A removable rim hook is the
 border hook of a cell, numbered in reading order, given by the shape it leaves.
 A rim hook is defined once, by hook_successors (a shape's removable rim hooks
 of every size, filed by `core.successors_by_size`): the recursion of both
-sides, the enumerator and the validator all ask it.
+sides and the enumerator ask its lists, the validator its `holds`.
 """
 
 from __future__ import annotations
@@ -82,7 +82,15 @@ def border_number_of_hook(shape: Partition, gamma: Partition) -> int:
 # Rim-hook tableaux
 # ---------------------------------------------------------------------------
 
-@successors_by_size
+def _is_hook(shape: Partition, gamma: Partition) -> bool:
+    try:  # border_number_of_hook finds the one cell whose border hook may leave gamma
+        border_number_of_hook(shape, gamma)
+    except ValueError:
+        return False
+    return True
+
+
+@successors_by_size(holds=_is_hook)
 def hook_successors(shape: Partition) -> Iterator[tuple[Partition, int]]:
     """The shapes left by removing a border rim-hook of size `length`, in
     reading order: the border hooks of the cells (i, j) whose hook length

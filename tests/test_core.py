@@ -1,3 +1,4 @@
+import inspect
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -24,10 +25,12 @@ from combinv.core import (
     walk_chains,
 )
 from combinv.brick import enumerate_obt, part_decrements, sub_multisets_of_size
+from combinv.involutions import KostkaPair, kostka_survivor
 from combinv.kostka import (
     enumerate_ssyt,
     is_srht,
     is_ssyt,
+    kostka_pair,
     rht_sign,
     srh_removals,
     srh_successors,
@@ -307,12 +310,53 @@ class TestSuccessorsBySize:
                  part_decrements, sub_multisets_of_size]
         assert [succ.__name__ for succ in succs] == list(goldens.SUCCESSOR_SHA256)
         assert all(succ.__doc__ and succ.__qualname__ == succ.__name__ for succ in succs)
+        # every one takes (shape, length), so lam=, mu= or removed= is a TypeError
+        for succ in succs:
+            assert list(inspect.signature(succ).parameters) == ["shape", "length"]
+        with pytest.raises(TypeError):
+            strip_removals(lam=(2, 1), length=1)
+
+    def test_holds_rule_or_table_lookup(self):
+        calls = []
+
+        def rows(shape):
+            calls.append(shape)
+            return [(shape[:i] + shape[i + 1 :], part) for i, part in enumerate(shape)]
+
+        looked_up = successors_by_size(rows)
+        ruled = successors_by_size(holds=lambda shape, gamma: len(gamma) == 1)(rows)
+        assert looked_up.holds((2, 1), (1,)) and looked_up.holds((2, 1), (2,))
+        assert not looked_up.holds((2, 1), (3,)) and not looked_up.holds((2, 1), ())
+        assert calls == [(2, 1)]
+        assert ruled.holds((5,), (9,)) and not ruled.holds((2, 1), ())
+        assert calls == [(2, 1)]
+        assert ruled((2, 1), 2) == looked_up((2, 1), 2) == [(1,)]
+
+    def test_validators_list_no_tables(self):
+        """Validators and kostka_pair ask succ.holds, a rule on the two shapes,
+        so they never list a shape's removals: the last prefix of the
+        staircase survivor below has 2**30 horizontal strips."""
+        succs = [strip_removals, srh_successors, hook_successors]
+        for succ in succs:
+            succ.cache_clear()
+        stair = tuple(range(30, 0, -1))
+        survivor = kostka_survivor(stair)
+        assert KostkaPair.from_json(survivor.to_json()) == survivor
+        assert kostka_pair(stair, (1,) * sum(stair)).kind == "empty"
+        head = stair[:-3]
+        matched = kostka_pair(stair, head + (2, 2, 2))
+        assert matched.members == ((head + (2, 1), -1), (head + (2, 2), 1))
+        column = filling_of(tuple((1,) * k for k in range(301)))
+        chain, ones = chain_of(column), (1,) * 300
+        assert is_ssyt(chain, column.shape, ones) and is_rht(chain, column.shape, ones)
+        assert is_srht(chain, column.shape, ones)
+        assert [succ.cache_info().currsize for succ in succs] == [0, 0, 0]
 
     @pytest.mark.parametrize("n", range(13))
     def test_tables_match_shape_predicates(self, n):
         """Every pair inner, outer with |inner| <= |outer| = n, L their size
         difference: membership in each successor table agrees with the
-        closed shape rules and with srh_removals."""
+        closed shape rules and with srh_removals, and succ.holds with both."""
         inners = [inner for m in range(n + 1) for inner in partitions(m)]
         for outer in partitions(n):
             special = [gamma for gamma, _, _ in srh_removals(outer)]
@@ -327,6 +371,10 @@ class TestSuccessorsBySize:
                 assert (inner in srh_successors(outer, length)) == (
                     inner in special
                 ), (outer, inner)
+                for succ in (strip_removals, hook_successors, srh_successors):
+                    assert succ.holds(outer, inner) == (
+                        inner in succ(outer, length)
+                    ), (succ.__name__, outer, inner)
 
 
 class TestFilling:

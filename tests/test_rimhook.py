@@ -153,10 +153,14 @@ class TestBorderHooks:
 
     def test_hook_removal_needs_containment(self):
         assert (1,) in hook_successors((2, 2), 3)
-        assert (1,) not in hook_successors((3, 1), 3)
-        assert (3,) not in hook_successors((2,), -1)
-        assert (1, 1, 1) not in hook_successors((2, 1), 0)
-        assert (2, 2) not in hook_successors((2, 2), 0)
+        assert hook_successors.holds((2, 2), (1,))
+        # each inner shape is smaller than the outer one but not inside it
+        for outer, inner in [((3, 1), (1, 1, 1)), ((2, 2), (3,)), ((2, 2), (1, 1, 1)),
+                             ((3, 1, 1), (4,)), ((3, 1, 1), (1, 1, 1, 1))]:
+            length = sum(outer) - sum(inner)
+            assert length > 0
+            assert inner not in hook_successors(outer, length)
+            assert not hook_successors.holds(outer, inner)
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_shape_predicates_match_cell_set_oracle(self, n):
