@@ -15,17 +15,20 @@ from functools import partial
 
 from . import brick, involutions, kostka, refine, rimhook
 from .core import format_rational, sort_comp
-from .framework import build_A, build_B, local_terms, verify
+from .framework import InvariantError, build_A, build_B, local_terms, verify
 
 # Above this n, `matrix` is refused, and `verify` for the apps that
-# compositions index: their tables hold 3^(n-1) entries.
+# compositions index: their tables hold 3^(n-1) entries.  At n = 12,
+# `matrix --format json` took 0.9-1.5 s and 125 MiB peak RSS for refine's A
+# and B and 1.4-2.0 s and 175 MiB for refine-weighted's B, four runs each
+# on a 2-vCPU Intel Xeon with CPython 3.11.7.
 MAX_N = 12
 
 # Above these n, `verify` is refused.  kostka, rimhook and brick check the
 # global identity on P(n) alone; in-process global + local check at the
-# bound, three runs each on a 2-vCPU Intel Xeon with CPython 3.11.7: kostka
-# n = 18 1.8-1.9 s, brick n = 18 1.4-1.7 s, rimhook n = 16 1.9-2.6 s, with
-# a peak RSS of at most 46.3 MiB.
+# bound, three runs each on the same host: kostka n = 18 1.5-1.9 s, brick
+# n = 18 1.1-1.8 s, rimhook n = 16 2.0-2.7 s, with a peak RSS of at most
+# 35.9 MiB.
 MAX_VERIFY_N = {
     "kostka": 18,
     "rimhook": 16,
@@ -91,7 +94,7 @@ def _cmd_matrix(args) -> tuple[int, str]:
     build = build_B if args.side.startswith("B") else build_A
     matrix = build(_SYSTEMS[args.app](), args.n, square=args.side.endswith("sq"))
     if args.format == "json":
-        return 0, _json_line(matrix.to_json())
+        return 0, matrix.to_json() + "\n"
     return 0, matrix.to_csv() if args.format == "csv" else matrix.to_ascii() + "\n"
 
 
@@ -292,15 +295,16 @@ def run(argv: list[str], out=None) -> int:
         return 2 if exc.code else 0
     try:
         code, text = args.func(args)
+    except (InvariantError, AssertionError) as exc:
+        # the program is at fault; an InvariantError is a ValueError too
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 4
     except (UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 3
-    except AssertionError as exc:
-        print("internal error: %s" % exc, file=sys.stderr)
-        return 4
     out.write(text)
     return code
 

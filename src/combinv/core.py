@@ -337,12 +337,8 @@ def walk_chains(succ, shape: tuple[int, ...], content: Composition) -> list[Chai
 
 
 # ---------------------------------------------------------------------------
-# JSON helpers for scalars and shapes
+# Text form of exact values
 # ---------------------------------------------------------------------------
-
-def rational_to_json(q: int | Fraction) -> list[int]:
-    return [q.numerator, q.denominator]
-
 
 def format_rational(q: int | Fraction) -> str:
     """p/q with the denominator omitted when it is 1."""

@@ -45,7 +45,6 @@ from .core import (
     compositions,
     format_rational,
     partitions,
-    rational_to_json,
     require_composition,
     require_partition,
 )
@@ -53,6 +52,11 @@ from .core import (
 Shape = tuple[int, ...]
 Succ = Callable[[Shape, int], list[Shape]]
 Weight = Callable[[Shape, Shape], int | Fraction]
+
+
+class InvariantError(ValueError, TypeError):
+    """A system's callbacks broke what the recursion relies on: a successor
+    listed twice, of the wrong size or outside R(m), or an inexact weight."""
 
 
 class IndexedMatrix:
@@ -91,12 +95,18 @@ class IndexedMatrix:
 
     # -- serialization --------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {
-            "rows": [list(k) for k in self.row_keys],
-            "cols": [list(k) for k in self.col_keys],
-            "entries": [[rational_to_json(e) for e in row] for row in self.entries],
-        }
+    def to_json(self) -> str:
+        """The JSON object {"rows": row keys, "cols": column keys, "entries":
+        [[numerator, denominator] per cell]}, as `json.dumps` writes it."""
+        entries = ", ".join(
+            "[%s]" % ", ".join(
+                ["[%d, %d]" % (e.numerator, e.denominator) if e else "[0, 1]" for e in row]
+            )
+            for row in self.entries
+        )
+        return '{"rows": %s, "cols": %s, "entries": [%s]}' % (
+            _json_keys(self.row_keys), _json_keys(self.col_keys), entries
+        )
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -121,6 +131,11 @@ class IndexedMatrix:
             for line in [headers] + rows
         ]
         return "\n".join(lines)
+
+
+def _json_keys(keys: list[Shape]) -> str:
+    """A key list as a JSON array of int arrays."""
+    return "[%s]" % ", ".join("[%s]" % ", ".join(map(str, k)) for k in keys)
 
 
 def key_string(key: Shape) -> str:
@@ -158,10 +173,10 @@ def _successors(shape: Shape, succ: Succ) -> dict:
     for length in range(1, size + 1):
         for gamma in succ(shape, length):
             if gamma in found:
-                raise ValueError("successor %r of %r listed twice" % (gamma, shape))
+                raise InvariantError("successor %r of %r listed twice" % (gamma, shape))
             if sum(gamma) != size - length:
                 fmt = "successor %r of %r has size %d, not %d"
-                raise ValueError(fmt % (gamma, shape, sum(gamma), size - length))
+                raise InvariantError(fmt % (gamma, shape, sum(gamma), size - length))
             found[gamma] = None
     return found
 
@@ -171,7 +186,7 @@ def _weigh(weight: Weight, shape: Shape, gamma: Shape) -> int | Fraction:
     value = weight(shape, gamma)
     if type(value) not in (int, Fraction):
         fmt = "weight at %r, %r is %r, not an int or Fraction"
-        raise TypeError(fmt % (shape, gamma, value))
+        raise InvariantError(fmt % (shape, gamma, value))
     return value
 
 
@@ -255,8 +270,11 @@ def _recursion(
     `extend(beta, L)` is the column key of the term, and a None from it
     drops the term: every side runs this one loop, with `_append` (the key
     beta + (L,)) for the rectangular tables, `_append_part` for A_sq and
-    `_insert_part` for B_fold (see `verify_inversion`).  `top`, when given,
-    is the level-n step rows, already built (see `verify`).
+    `_insert_part` for B_fold (see `verify_inversion`).  It is asked at
+    most once per (size, L, beta): the first term from level `size` under
+    L builds that pair's key map, and every term looks its key up there.
+    `top`, when given, is the level-n step rows, already built (see
+    `verify`).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -264,6 +282,7 @@ def _recursion(
     if len(base) != 1:
         raise ValueError("R(0) must contain exactly one shape")
     levels = [{base[0]: (1, {(): 1})}]
+    key_maps: dict = {}  # (size, L): {beta: extend(beta, L)} over level size
     for m in range(1, n + 1):
         level = {}
         steps = _step_rows(system, m, succ, weight) if m < n or top is None else top
@@ -274,7 +293,7 @@ def _recursion(
                 found = levels[size].get(gamma)
                 if found is None:
                     fmt = "successor %r of %r is not in R(%d)"
-                    raise ValueError(fmt % (gamma, shape, size))
+                    raise InvariantError(fmt % (gamma, shape, size))
                 e_g, lower = found
                 if e % e_g:
                     grow = e_g // gcd(e, e_g)
@@ -282,8 +301,11 @@ def _recursion(
                     row = {beta: v * grow for beta, v in row.items()}
                 factor = p * (e // e_g)
                 length = m - size
+                keys = key_maps.get((size, length))
+                if keys is None:
+                    keys = key_maps[size, length] = _key_map(levels[size], length, extend)
                 for beta, value in lower.items():
-                    key = extend(beta, length)
+                    key = keys[beta]
                     if key is not None:
                         row[key] = row.get(key, 0) + factor * value
             row = {beta: v for beta, v in row.items() if v}
@@ -296,6 +318,13 @@ def _recursion(
             level[shape] = (e, row)
         levels.append(level)
     return levels[n]
+
+
+def _key_map(level: dict, length: int, extend: Callable) -> dict:
+    """{beta: extend(beta, length)} over the column keys of a level's rows:
+    each term's key is looked up, not computed, and a None still drops it."""
+    columns = {beta for _, row in level.values() for beta in row}
+    return {beta: extend(beta, length) for beta in columns}
 
 
 def _entries(table: dict) -> list[dict]:

@@ -61,20 +61,25 @@ def hook_removals(lam: Partition) -> list[tuple[Partition, int, int]]:
     ]
 
 
-def border_number_of_hook(shape: Partition, gamma: Partition) -> int:
-    """Inverse of `border_hook` on shapes: the reading number of the cell
-    whose border hook leaves gamma.
-
-    That cell sits in the first row where shape and gamma differ, one column
-    right of gamma's part in the last such row.
-    """
+def _hook_cell(shape: Partition, gamma: Partition) -> Cell | None:
+    """The one cell (row, col) whose border hook may leave gamma, None when
+    shape and gamma agree: it sits in the first row where they differ, one
+    column right of gamma's part in the last such row.  The cell may lie
+    outside dg(shape) when gamma is not inside it."""
     padded = gamma + (0,) * (len(shape) - len(gamma))
     rows = [r for r, (a, b) in enumerate(zip(shape, padded), start=1) if a != b]
-    if not rows:
+    return (rows[0], padded[rows[-1] - 1] + 1) if rows else None
+
+
+def border_number_of_hook(shape: Partition, gamma: Partition) -> int:
+    """Inverse of `border_hook` on shapes: the reading number of the cell
+    whose border hook leaves gamma."""
+    cell = _hook_cell(shape, gamma)
+    if cell is None:
         raise ValueError("empty hook")
-    row, col = rows[0], padded[rows[-1] - 1] + 1
-    if border_hook(shape, (row, col))[0] != gamma:
+    if border_hook(shape, cell)[0] != gamma:
         raise ValueError("shape minus gamma is not a removable border rim-hook")
+    row, col = cell
     return sum(shape[: row - 1]) + col
 
 
@@ -83,11 +88,12 @@ def border_number_of_hook(shape: Partition, gamma: Partition) -> int:
 # ---------------------------------------------------------------------------
 
 def _is_hook(shape: Partition, gamma: Partition) -> bool:
-    try:  # border_number_of_hook finds the one cell whose border hook may leave gamma
-        border_number_of_hook(shape, gamma)
-    except ValueError:
-        return False
-    return True
+    cell = _hook_cell(shape, gamma)
+    return (
+        cell is not None
+        and cell[1] <= shape[cell[0] - 1]
+        and border_hook(shape, cell)[0] == gamma
+    )
 
 
 @successors_by_size(holds=_is_hook)

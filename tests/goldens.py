@@ -133,6 +133,15 @@ MATRIX_SHA256 = {
     "rimhook": "8e93bd4ea0ae02b155692a1d4fd7c11ed5c4857f3b190f320d793891d922e394",
 }
 
+# sha256 of the stdout of `combinv matrix --n 12 --format json` per
+# (app, side), as `matrix` printed it when it encoded a dict with json.dumps
+MATRIX_JSON_N12_SHA256 = {
+    ("refine", "A"): "514af4d144a9b54c1db783cd17346fee94853825e7a509f902b5d0d669553264",
+    ("refine", "B"): "0053d208092d2a6fffbce77ac784e92d01525167ff074125b067045e7a76d00e",
+    ("refine-weighted", "A"): "326dbc9da187c7bec3893fdce1101a22706b4381e96f53a10d79ebd03933be00",
+    ("refine-weighted", "B"): "dd0eb708662070558fd21f7763139b20fd78c0018a9d7aab085e86df98de4e0c",
+}
+
 # sha256 of TestAuditOnePass::test_golden_digest's lines per app: the fields
 # of verify_pairing's report, as a JSON list, for every shape pair with
 # n <= 7 (kostka) or n <= 5 (rimhook), n = 0 included

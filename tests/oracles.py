@@ -32,7 +32,7 @@ library builds every matrix by the one-step recursion and never calls them.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations
 from math import factorial
 
 from combinv.core import (
@@ -139,12 +139,28 @@ def is_hook_removal(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
     return bool(rows) and all(outer[r + 1] - padded[r] == 1 for r in rows[:-1])
 
 
+def _set_partitions(n):
+    """Every set partition of n positions as a restricted growth string: the
+    block of each position, blocks 0..k-1 numbered by first position, with k."""
+    if n == 0:
+        yield (), 0
+        return
+    for blocks, k in _set_partitions(n - 1):
+        for b in range(k + 1):
+            yield blocks + (b,), max(k, b + 1)
+
+
 def all_fillings(n):
-    """Every filling of every partition of n with labels exactly 1..max."""
+    """Every filling of every partition of n with labels exactly 1..max:
+    each ordered set partition of the cells once, a set partition whose k
+    blocks take the labels 1..k in every order."""
+    labelings = [
+        tuple(order[b] for b in blocks)
+        for blocks, k in _set_partitions(n)
+        for order in permutations(range(1, k + 1))
+    ]
     for lam in partitions(n):
-        for labels in product(range(1, n + 1), repeat=n):
-            if set(labels) != set(range(1, max(labels, default=0) + 1)):
-                continue
+        for labels in labelings:
             rows, pos = [], 0
             for part in lam:
                 rows.append(labels[pos : pos + part])
@@ -238,6 +254,17 @@ def fraction_recursion(system, n, succ, weight):
             level[shape] = {beta: v for beta, v in row.items() if v}
         levels.append(level)
     return levels[n]
+
+
+def matrix_json_object(matrix):
+    """The JSON object of an IndexedMatrix as a dict, each cell the list
+    [numerator, denominator]: `json.dumps` of it is the text the library
+    writes without building it."""
+    return {
+        "rows": [list(k) for k in matrix.row_keys],
+        "cols": [list(k) for k in matrix.col_keys],
+        "entries": [[[e.numerator, e.denominator] for e in row] for row in matrix.entries],
+    }
 
 
 def local_lhs(system, lam, mu):

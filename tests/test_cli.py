@@ -108,6 +108,14 @@ class TestMatrixCommand:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == goldens.MATRIX_SHA256[app]
 
+    @pytest.mark.parametrize("app, side", sorted(goldens.MATRIX_JSON_N12_SHA256))
+    def test_json_golden_digest_at_max_n(self, app, side):
+        argv = ["matrix", "--app", app, "--n", "12", "--side", side, "--format", "json"]
+        code, text = run_cli(*argv)
+        assert code == 0
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == goldens.MATRIX_JSON_N12_SHA256[app, side]
+
 
 # stdout of `combinv verify` on systems with a perturbed B-side weight:
 # (app, n, new weight from (mu, old weight), stdout)
@@ -630,6 +638,28 @@ class TestUsage:
         assert capsys.readouterr().err == (
             "internal error: local pairing failed structural check\n"
         )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (
+                lambda s: {"succ_b": lambda mu, L: s.succ_b(mu, L) * 2},
+                "successor () of (3,) listed twice",
+            ),
+            (
+                lambda s: {"weight_b": lambda mu, gamma: float(s.weight_b(mu, gamma))},
+                "weight at (3,), () is 1.0, not an int or Fraction",
+            ),
+        ],
+        ids=["successor-listed-twice", "float-weight"],
+    )
+    def test_broken_system_is_internal(self, monkeypatch, capsys, change, message):
+        # a bad callback breaks the recursion's rules: not a usage error
+        system = cli._SYSTEMS["kostka"]()
+        monkeypatch.setitem(cli._SYSTEMS, "kostka", lambda: replace(system, **change(system)))
+        code, text = run_cli("verify", "--app", "kostka", "--n", "3")
+        assert (code, text) == (4, "")
+        assert capsys.readouterr().err == "internal error: %s\n" % message
 
     def test_pair_size_mismatch(self):
         code, _ = run_cli("pair", "--app", "kostka", "--lambda", "3", "--mu", "2,2")

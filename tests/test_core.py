@@ -471,7 +471,7 @@ class TestChains:
 
     def test_validators_match_cell_set_oracle(self):
         count = 0
-        for n in range(6):
+        for n in range(7):
             for lam, f in all_fillings(n):
                 count += 1
                 beta = f.content()
@@ -488,4 +488,4 @@ class TestChains:
                     for k in range(1, len(beta) + 1):
                         expected *= hook_sign(cells_of(f, k))
                     assert rht_sign(chain) == expected, f
-        assert count == 4209
+        assert count == 55722
