@@ -60,12 +60,16 @@ class InvariantError(ValueError, TypeError):
 
 
 class IndexedMatrix:
-    """Dense matrix of exact int or Fraction entries keyed by explicit shape lists."""
+    """Dense matrix of exact int or Fraction entries keyed by explicit shape lists.
 
-    def __init__(self, row_keys: list[Shape], col_keys: list[Shape], entries: list):
+    The matrix takes ownership of `entries`, a fresh list of row lists: it
+    keeps them uncopied, so the caller hands over a grid it no longer uses.
+    """
+
+    def __init__(self, row_keys: list[Shape], col_keys: list[Shape], entries: list[list]):
         self.row_keys = [tuple(k) for k in row_keys]
         self.col_keys = [tuple(k) for k in col_keys]
-        self.entries = [list(row) for row in entries]
+        self.entries = entries
         if len(self.entries) != len(self.row_keys) or any(
             len(r) != len(self.col_keys) for r in self.entries
         ):

@@ -8,23 +8,28 @@ restore the stripped structures with renumbered labels.  The rim-hook
 variant additionally transports a permutation through choice sequences, so
 that the diagonal fixed-point count is exactly n! per shape.
 
-Every pair and triple is built by its dataclass constructor, which checks
-it and derives the chains of its two Fillings.  An exhaustive audit meets
-the same shapes, chains and tableaux over and over, so each object carries
-a `_Memo` in its one private field, `_memo` (keyword-only, outside equality,
-hashing and repr), which does the pure work it is asked for once per
-distinct input: the local pairing at (lam_bar, mu_bar), the tableau check
-of a (chain, shape, content), chain_of / filling_of, a Filling's content, a
-chain's sign and the choice-sequence transport.  The pair set of one
-`verify_pairing` call is built with one memo, and the involutions build
-every image with its input's; a pair or triple built without one, by any
-other caller or by `from_json`, starts a fresh one.  No memo is kept at
-module level, so none outlives the objects that carry it.  The audit itself
-maps each object of the pair set once and checks map o map = id by looking
-the image's image up among those results; it lists the special rim-hook
-tableaux of a shape with one walk down their chains, and the transport
-passes canonical cycle tuples, building a Permutation only for an image's
-sigma (and for a trace).
+Shape chains, and canonical cycle tuples for sigma, are the working form.
+Each involution is one chain-level step: `_kostka_step(s, t, memo, trace)`
+gives the image chains (s', t'), and `_rht_step(s, t, cycles, memo, trace)`
+gives (s', t', cycles'), or None at a fixed point.  Each object kind has one
+chain-level checker, `_check_kostka` and `_check_rht`: equal contents, the
+tableau predicates through the memo, and for a triple cycles that hold
+1..n once each in canonical order.  Filling and Permutation appear only at
+the public surface: the KostkaPair and RhtTriple constructors turn their
+fields into chains and call the checker, and `kostka_involution` and
+`rht_involution` unwrap, step and wrap.  `verify_pairing` builds its pair
+set as plain tuples, maps each once through the step and puts every object
+and image through the checker; the only Fillings it meets are the
+semistandard tableaux `enumerate_ssyt` lists, each turned into its chain.
+
+A `_Memo` does the pure work it is asked for once per distinct input: the
+local pairing at (lam_bar, mu_bar), the tableau check of a (chain,
+content), chain_of / filling_of, a chain's sign and the choice-sequence
+transport.  The audit makes one per call.  A pair or triple carries one in
+its one private field, `_memo` (keyword-only, outside equality, hashing and
+repr): the involutions build every image with its input's, and any other
+caller, or `from_json`, starts a fresh one.  No memo is kept at module
+level, so none outlives the objects or the audit that carry it.
 """
 
 from __future__ import annotations
@@ -41,8 +46,10 @@ from .core import (
     Partition,
     chain_of,
     filling_of,
+    is_partition,
     require_partition,
     rht_sign,
+    walk_chains,
 )
 from .kostka import (
     enumerate_ssyt,
@@ -55,16 +62,16 @@ from .rimhook import (
     Permutation,
     border_hook,
     border_number_of_hook,
+    canonical_cycles,
     cell_at,
     cyc_comp,
-    enumerate_rht,
+    hook_successors,
     is_rht,
     rimhook_pair,
 )
 
 ChoiceSequence = tuple[int, ...]
 Cycles = tuple[tuple[int, ...], ...]
-Images = tuple[int, ...]  # a permutation of 1..n as the images of 1, ..., n
 
 
 class _Memo:
@@ -84,15 +91,25 @@ class _Memo:
             return value
 
 
-def _trace_step(trace, action: str, before, after):
-    if trace is not None:
-        trace.append({"action": action, "before": before, "after": after})
+def _trace_step(trace: list, action: str, before, after):
+    trace.append({"action": action, "before": before, "after": after})
 
 
-def _trace_chains(trace, action: str, label: int, s: Chain, t: Chain):
-    if trace is not None:
-        after = {"S": filling_of(s).to_json(), "T": filling_of(t).to_json()}
-        _trace_step(trace, action, {"label": label}, after)
+def _trace_chains(trace: list, action: str, label: int, s: Chain, t: Chain):
+    after = {"S": filling_of(s).to_json(), "T": filling_of(t).to_json()}
+    _trace_step(trace, action, {"label": label}, after)
+
+
+def _content(chain: Chain) -> Composition:
+    """The sizes of a chain's steps: its tableau's content."""
+    return tuple(sum(outer) - sum(inner) for inner, outer in zip(chain, chain[1:]))
+
+
+def _is_tableau(is_kind, chain: Chain, beta: Composition) -> bool:
+    """is_kind(chain, its top shape, beta) with that shape a partition, so
+    that, each step leaving a partition, every shape of the chain is one,
+    as chain_of requires of a Filling's chain."""
+    return is_partition(chain[-1]) and is_kind(chain, chain[-1], beta)
 
 
 def _strip_and_swap(
@@ -107,32 +124,31 @@ def _strip_and_swap(
     j = 0
     while s[j + 1] == t[j + 1]:
         j += 1
-    for label in range(len(s) - 1, j, -1):
-        _trace_chains(trace, "strip", label, s[:label], t[:label])
     gamma, lam_bar, mu_bar = s[j], s[j + 1], t[j + 1]
     gamma_new = memo(pair_at, lam_bar, mu_bar).partner_of(gamma)
-    _trace_step(
-        trace,
-        "local_pair",
-        {"gamma": list(gamma), "lam_bar": list(lam_bar), "mu_bar": list(mu_bar)},
-        {"gamma": list(gamma_new)},
-    )
+    if trace is not None:
+        for label in range(len(s) - 1, j, -1):
+            _trace_chains(trace, "strip", label, s[:label], t[:label])
+        _trace_step(
+            trace,
+            "local_pair",
+            {"gamma": list(gamma), "lam_bar": list(lam_bar), "mu_bar": list(mu_bar)},
+            {"gamma": list(gamma_new)},
+        )
     return j, gamma_new
 
 
 def _restore(
-    source, s_head: Chain, t_head: Chain, j: int, trace, *rest
-) -> KostkaPair | RhtTriple:
-    """Push the shapes of source stripped above index j+1 back onto the new
-    heads, and build the output pair or triple from the two chains with
-    source's constructor, carrying source's memo."""
-    s, t = source._chains
-    for k in range(j + 2, len(s)):
-        s_head, t_head = s_head + (s[k],), t_head + (t[k],)
-        _trace_chains(trace, "restore", len(s_head) - 1, s_head, t_head)
-    memo = source._memo
-    fillings = memo(filling_of, s_head), memo(filling_of, t_head)
-    return type(source)(*fillings, *rest, _memo=memo)
+    s: Chain, t: Chain, s_head: Chain, t_head: Chain, j: int, trace
+) -> tuple[Chain, Chain]:
+    """Push the shapes of s and t stripped above index j+1 back onto the new
+    heads (of one length), renumbering their labels."""
+    if trace is not None:
+        for k in range(j + 2, len(s)):
+            rest = slice(j + 2, k + 1)
+            label = len(s_head) + k - j - 2
+            _trace_chains(trace, "restore", label, s_head + s[rest], t_head + t[rest])
+    return s_head + s[j + 2 :], t_head + t[j + 2 :]
 
 
 def _row_chain(lam: Partition) -> Chain:
@@ -144,6 +160,34 @@ def _row_chain(lam: Partition) -> Chain:
 # Kostka pairs
 # ---------------------------------------------------------------------------
 
+def _check_kostka(s: Chain | None, t: Chain | None, memo: _Memo) -> int:
+    """Raise the ValueError KostkaPair raises unless the chains s and t are
+    a semistandard and a special rim-hook tableau of one content; return
+    the pair's sign.  None stands for a Filling with no chain_of."""
+    if s is None:
+        raise ValueError("first component is not semistandard")
+    beta = _content(s)
+    if t is not None and beta != _content(t):
+        raise ValueError("contents disagree")
+    if not memo(_is_tableau, is_ssyt, s, beta):
+        raise ValueError("first component is not semistandard")
+    if t is None or not memo(_is_tableau, is_srht, t, beta):
+        raise ValueError("second component is not a special rim-hook tableau")
+    return memo(rht_sign, t)
+
+
+def _kostka_step(s: Chain, t: Chain, memo: _Memo, trace) -> tuple[Chain, Chain] | None:
+    """The canonical involution on the chains of a Kostka pair, or None at
+    its fixed point; kostka_pair is looked up in memo."""
+    if s == t:
+        if s != _row_chain(s[-1]):
+            raise AssertionError("equal components must form the survivor")
+        return None
+    j, gamma_new = _strip_and_swap(s, t, kostka_pair, memo, trace)
+    head = _row_chain(gamma_new)
+    return _restore(s, t, head + (s[j + 1],), head + (t[j + 1],), j, trace)
+
+
 @dataclass(frozen=True)
 class KostkaPair:
     """A semistandard tableau and a special rim-hook tableau of one content."""
@@ -154,19 +198,13 @@ class KostkaPair:
 
     def __post_init__(self):
         memo = self._memo
-        beta = memo(Filling.content, self.s)
-        if beta != memo(Filling.content, self.t):
-            raise ValueError("contents disagree")
-        s, t = chains = memo(chain_of, self.s), memo(chain_of, self.t)
+        chains = memo(chain_of, self.s), memo(chain_of, self.t)
         object.__setattr__(self, "_chains", chains)
-        if s is None or not memo(is_ssyt, s, self.s.shape, beta):
-            raise ValueError("first component is not semistandard")
-        if t is None or not memo(is_srht, t, self.t.shape, beta):
-            raise ValueError("second component is not a special rim-hook tableau")
+        object.__setattr__(self, "_sign", _check_kostka(*chains, memo))
 
     @property
     def sign(self) -> int:
-        return self._memo(rht_sign, self._chains[1])
+        return self._sign
 
     def to_json(self) -> dict:
         return {"S": self.s.to_json(), "T": self.t.to_json()}
@@ -174,6 +212,13 @@ class KostkaPair:
     @classmethod
     def from_json(cls, data: dict) -> "KostkaPair":
         return cls(Filling.from_json(data["S"]), Filling.from_json(data["T"]))
+
+
+def _wrap(source, chains: tuple[Chain, Chain], *rest):
+    """The pair or triple of source's type with the Fillings of these
+    chains, built by its constructor with source's memo."""
+    memo = source._memo
+    return type(source)(*(memo(filling_of, c) for c in chains), *rest, _memo=memo)
 
 
 def kostka_survivor(lam: Partition) -> KostkaPair:
@@ -189,14 +234,8 @@ def kostka_involution(pair: KostkaPair, trace: list | None = None) -> KostkaPair
     Off fixed points the output has opposite sign, the same two shapes, and
     a second application returns the input.
     """
-    s, t = pair._chains
-    if s == t:
-        if s != _row_chain(s[-1]):
-            raise AssertionError("equal components must form the survivor")
-        return None
-    j, gamma_new = _strip_and_swap(s, t, kostka_pair, pair._memo, trace)
-    head = _row_chain(gamma_new)
-    return _restore(pair, head + (s[j + 1],), head + (t[j + 1],), j, trace)
+    image = _kostka_step(*pair._chains, pair._memo, trace)
+    return None if image is None else _wrap(pair, image)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +345,37 @@ def f_mu_rho_inv(filling: Filling, sigma: Permutation) -> ChoiceSequence:
 # Rim-hook triples
 # ---------------------------------------------------------------------------
 
+def _is_canonical(cycles: Cycles) -> bool:
+    """The cycles hold each of 1..n once, each starts at its least element,
+    and those minima decrease left to right."""
+    elements = sorted(x for cycle in cycles for x in cycle)
+    minima = [min(cycle, default=0) for cycle in cycles]
+    return (
+        elements == list(range(1, len(elements) + 1))
+        and all(cycle[:1] == (least,) for cycle, least in zip(cycles, minima))
+        and minima == sorted(minima, reverse=True)
+    )
+
+
+def _check_rht(s: Chain | None, t: Chain | None, cycles: Cycles, memo: _Memo) -> int:
+    """Raise the ValueError RhtTriple raises unless the chains s and t are
+    rim-hook tableaux of one content and the cycles, of those lengths, are
+    the canonical cycles of a permutation of 1..n; return the triple's
+    sign.  None stands for a Filling with no chain_of."""
+    if s is None:
+        raise ValueError("first component is not a rim-hook tableau")
+    beta = _content(s)
+    if (t is not None and beta != _content(t)) or beta != tuple(map(len, cycles)):
+        raise ValueError("contents and cycle composition must all agree")
+    if not memo(_is_canonical, cycles):
+        raise ValueError("sigma is not a permutation of 1..n in canonical cycles")
+    if not memo(_is_tableau, is_rht, s, beta):
+        raise ValueError("first component is not a rim-hook tableau")
+    if t is None or not memo(_is_tableau, is_rht, t, beta):
+        raise ValueError("second component is not a rim-hook tableau")
+    return memo(rht_sign, s) * memo(rht_sign, t)
+
+
 @dataclass(frozen=True)
 class RhtTriple:
     """Two rim-hook tableaux of one content and a permutation realizing it."""
@@ -317,20 +387,14 @@ class RhtTriple:
 
     def __post_init__(self):
         memo = self._memo
-        beta = memo(Filling.content, self.s)
-        if beta != memo(Filling.content, self.t) or beta != cyc_comp(self.sigma):
-            raise ValueError("contents and cycle composition must all agree")
-        s, t = chains = memo(chain_of, self.s), memo(chain_of, self.t)
+        chains = memo(chain_of, self.s), memo(chain_of, self.t)
         object.__setattr__(self, "_chains", chains)
-        if s is None or not memo(is_rht, s, self.s.shape, beta):
-            raise ValueError("first component is not a rim-hook tableau")
-        if t is None or not memo(is_rht, t, self.t.shape, beta):
-            raise ValueError("second component is not a rim-hook tableau")
+        sign = _check_rht(*chains, self.sigma.canonical_cycles(), memo)
+        object.__setattr__(self, "_sign", sign)
 
     @property
     def sign(self) -> int:
-        s, t = self._chains
-        return self._memo(rht_sign, s) * self._memo(rht_sign, t)
+        return self._sign
 
     def to_json(self) -> dict:
         return {
@@ -359,6 +423,30 @@ def _transport(t_head: Chain, cycles: Cycles, gamma: Partition) -> tuple[Chain, 
     return _decode(mu, (border_number_of_hook(mu, gamma),) + seq, ground)
 
 
+def _sigma_json(cycles: Cycles) -> dict:
+    return Permutation.from_cycles(list(cycles)).to_json()
+
+
+def _rht_step(
+    s: Chain, t: Chain, cycles: Cycles, memo: _Memo, trace
+) -> tuple[Chain, Chain, Cycles] | None:
+    """The rim-hook involution on the chains and canonical cycles of a
+    triple, or None at a fixed point; rimhook_pair and the transport are
+    looked up in memo.  The transported cycles come first and have the
+    larger minima, so the image's cycles are canonical as they stand."""
+    if s == t:
+        return None
+    j, gamma_new = _strip_and_swap(s, t, rimhook_pair, memo, trace)
+    t_head, moved = t[: j + 2], cycles[: j + 1]
+    head, cycles_next = memo(_transport, t_head, moved, gamma_new)
+    if trace is not None:
+        before = {"T": filling_of(t_head).to_json(), "sigma": _sigma_json(moved)}
+        after = {"T": filling_of(head).to_json(), "sigma": _sigma_json(cycles_next)}
+        _trace_step(trace, "f_transport", before, after)
+    s_out, t_out = _restore(s, t, head[:-1] + (s[j + 1],), head, j, trace)
+    return s_out, t_out, cycles_next + cycles[j + 1 :]
+
+
 def rht_involution(triple: RhtTriple, trace: list | None = None) -> RhtTriple | None:
     """Apply the rim-hook involution; None marks the n! diagonal fixed points.
 
@@ -366,21 +454,12 @@ def rht_involution(triple: RhtTriple, trace: list | None = None) -> RhtTriple | 
     survivor shape through the abacus pairing, transports the pinned
     survivor with choice sequences, and restores everything renumbered.
     """
-    s, t = triple._chains
-    if s == t:
-        return None
-    j, gamma_new = _strip_and_swap(s, t, rimhook_pair, triple._memo, trace)
     cycles = triple.sigma.canonical_cycles()
-    t_head = t[: j + 2]
-    head, cycles_next = triple._memo(_transport, t_head, cycles[: j + 1], gamma_new)
-    if trace is not None:
-        sigma_prime = Permutation.from_cycles(list(cycles[: j + 1]))
-        sigma_next = Permutation.from_cycles(list(cycles_next))
-        before = {"T": filling_of(t_head).to_json(), "sigma": sigma_prime.to_json()}
-        after = {"T": filling_of(head).to_json(), "sigma": sigma_next.to_json()}
-        _trace_step(trace, "f_transport", before, after)
-    sigma_out = Permutation.from_cycles(list(cycles_next + cycles[j + 1 :]))
-    return _restore(triple, head[:-1] + (s[j + 1],), head, j, trace, sigma_out)
+    image = _rht_step(*triple._chains, cycles, triple._memo, trace)
+    if image is None:
+        return None
+    s, t, cycles_out = image
+    return _wrap(triple, (s, t), Permutation.from_cycles(list(cycles_out)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,53 +500,41 @@ def _srht_chains(mu: Partition) -> list[Chain]:
     return [chain + (mu,) for gamma, _, _ in srh_removals(mu) for chain in _srht_chains(gamma)]
 
 
-def _all_kostka_pairs(lam: Partition, mu: Partition) -> list[KostkaPair]:
-    """The pair set of (lam, mu), every pair sharing one fresh memo: each
-    special rim-hook tableau T of shape mu with every semistandard tableau
-    of shape lam and T's content."""
-    memo = _Memo()
-    out = []
-    for chain in _srht_chains(mu):
-        t = filling_of(chain)
-        beta = tuple(sum(outer) - sum(inner) for inner, outer in zip(chain, chain[1:]))
-        for s in enumerate_ssyt(lam, beta):
-            out.append(KostkaPair(s, t, _memo=memo))
-    return out
+def _kostka_pair_set(lam: Partition, mu: Partition, memo: _Memo) -> list[tuple[Chain, Chain]]:
+    """The pair set of (lam, mu) as chain pairs: each special rim-hook
+    tableau T of shape mu with every semistandard tableau of shape lam and
+    T's content, as enumerate_ssyt lists it, turned into its chain."""
+    return [
+        (memo(chain_of, s), t)
+        for t in _srht_chains(mu)
+        for s in enumerate_ssyt(lam, _content(t))
+    ]
 
 
 @lru_cache(maxsize=None)
-def _permutations_by_content(
-    n: int,
-) -> tuple[tuple[Composition, tuple[Images, ...]], ...]:
-    """The permutations of 1..n as image tuples, grouped by cycle composition
-    in order of first appearance.  Tuples only: what the cache holds
-    cannot be changed by any caller."""
-    ground = tuple(range(1, n + 1))
-    by_content: dict[Composition, list[Images]] = {}
+def _cycles_by_content(n: int) -> tuple[tuple[Composition, tuple[Cycles, ...]], ...]:
+    """The permutations of 1..n as canonical cycle tuples, grouped by cycle
+    composition in order of first appearance.  Tuples only: what the cache
+    holds cannot be changed by any caller."""
+    ground = range(1, n + 1)
+    by_content: dict[Composition, list[Cycles]] = {}
     for images in _itertools_permutations(ground):
-        sigma = Permutation(dict(zip(ground, images)))
-        by_content.setdefault(cyc_comp(sigma), []).append(images)
+        cycles = canonical_cycles(dict(zip(ground, images)))
+        by_content.setdefault(tuple(map(len, cycles)), []).append(cycles)
     return tuple((beta, tuple(group)) for beta, group in by_content.items())
 
 
-def _all_rht_triples(lam: Partition, mu: Partition) -> list[RhtTriple]:
-    """The triple set of (lam, mu), every triple sharing one fresh memo; the
-    permutations come grouped by cycle composition once per n, and a
-    Permutation is made, once per call, only where both shapes have a
-    rim-hook tableau of its content."""
-    memo = _Memo()
-    ground = tuple(range(1, sum(lam) + 1))
+def _rht_triple_set(
+    lam: Partition, mu: Partition, memo: _Memo
+) -> list[tuple[Chain, Chain, Cycles]]:
+    """The triple set of (lam, mu) as (s, t, cycles): the rim-hook tableaux
+    of both shapes, walked once per content through memo, with every
+    permutation of that cycle composition."""
     out = []
-    for beta, group in _permutations_by_content(len(ground)):
-        left = enumerate_rht(lam, beta)
-        right = left if mu == lam or not left else enumerate_rht(mu, beta)
-        if not right:
-            continue
-        sigmas = [Permutation(dict(zip(ground, images))) for images in group]
-        for s, _ in left:
-            for t, _ in right:
-                for sigma in sigmas:
-                    out.append(RhtTriple(s, t, sigma, _memo=memo))
+    for beta, group in _cycles_by_content(sum(lam)):
+        left = memo(walk_chains, hook_successors, lam, beta)
+        right = left and memo(walk_chains, hook_successors, mu, beta)
+        out += [(s, t, cycles) for s in left for t in right for cycles in group]
     return out
 
 
@@ -476,55 +543,57 @@ def verify_pairing(app: str, lam: Partition, mu: Partition) -> PairingReport:
     map o map = id, sign reversal off fixed points, shape preservation, and
     the fixed-point census matching the matrix identity.
 
-    Each object is mapped once, and map o map = id is checked by looking the
-    image up among those results; an image outside the pair set (a map that
-    moves a shape) is mapped directly.  The pair set shares one memo made
-    for this call and every image carries it, so each distinct local
-    pairing, tableau check, chain <-> Filling conversion and transport is
-    worked once per call, while every object and image is still put through
-    all the constructor's checks.  Nothing of the memo or the images
-    outlives the call: a pairing patched between two calls is seen by the
-    second."""
+    The audit works on chains and canonical cycle tuples and builds no
+    Filling or Permutation of its own.  The pair set is a list of plain
+    tuples; each object is put through the chain-level checker, which
+    raises what the constructor would and gives the sign, and mapped once
+    through the chain-level step.  An image is looked up among those
+    results, which gives its checked sign and its image for map o map = id;
+    an image outside the pair set (a map that moves a shape) is checked and
+    mapped directly.  One memo made for this call serves the whole pair
+    set, so each distinct local pairing, tableau check and transport is
+    worked once per call; nothing of it outlives the call, so a pairing
+    patched between two calls is seen by the second."""
+    lam, mu = tuple(lam), tuple(mu)
     if sum(lam) != sum(mu):
         raise ValueError("size mismatch")
     if app == "kostka":
-        build, apply_map = _all_kostka_pairs, kostka_involution
+        build, check, step = _kostka_pair_set, _check_kostka, _kostka_step
     elif app == "rimhook":
-        build, apply_map = _all_rht_triples, rht_involution
+        build, check, step = _rht_triple_set, _check_rht, _rht_step
     else:
         raise ValueError("unknown application %r" % app)
     require_partition(lam, mu)
-    objects = build(lam, mu)
-    mapped = [apply_map(obj) for obj in objects]
-    images = dict(zip(objects, mapped))
-    shapes = lambda obj: (obj._chains[0][-1], obj._chains[1][-1])
+    memo = _Memo()
+    objects = build(lam, mu, memo)
+    results = [(check(*obj, memo), step(*obj, memo, None)) for obj in objects]
+    lookup = dict(zip(objects, results))
     fixed = 0
     signed_total = 0
     involution_ok = True
     sign_ok = True
     shape_ok = True
-    for obj, image in zip(objects, mapped):
-        sign = obj.sign
+    for obj, (sign, image) in zip(objects, results):
         signed_total += sign
         if image is None:
             fixed += 1
             if sign != 1:
                 sign_ok = False
             continue
-        if shapes(image) != shapes(obj):
-            shape_ok = False
-        if image.sign != -sign:
-            sign_ok = False
         try:
-            back = images[image]
+            image_sign, back = lookup[image]
         except KeyError:
-            back = apply_map(image)
+            image_sign, back = check(*image, memo), step(*image, memo, None)
+        if image_sign != -sign:
+            sign_ok = False
+        if image[0][-1] != obj[0][-1] or image[1][-1] != obj[1][-1]:
+            shape_ok = False
         if back != obj:
             involution_ok = False
     return PairingReport(
         app,
-        tuple(lam),
-        tuple(mu),
+        lam,
+        mu,
         len(objects),
         fixed,
         signed_total,

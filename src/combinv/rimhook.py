@@ -279,6 +279,23 @@ def rimhook_pair(lam: Partition, mu: Partition) -> Pairing:
 # Permutations and cycle statistics
 # ---------------------------------------------------------------------------
 
+def canonical_cycles(mapping: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the bijection x -> mapping[x], each starting at its
+    minimum, the minima decreasing left to right."""
+    seen: set[int] = set()
+    cycles = []
+    for start in sorted(mapping):
+        if start not in seen:
+            cyc = [start]
+            nxt = mapping[start]
+            while nxt != start:
+                cyc.append(nxt)
+                nxt = mapping[nxt]
+            seen.update(cyc)
+            cycles.append(tuple(cyc))
+    return tuple(reversed(cycles))
+
+
 class Permutation:
     """A bijection on an arbitrary finite set of integers."""
 
@@ -315,23 +332,8 @@ class Permutation:
         try:
             return self._cycles
         except AttributeError:
-            pass
-        seen: set[int] = set()
-        cycles = []
-        for start in self.ground:
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            nxt = self.mapping[start]
-            while nxt != start:
-                cyc.append(nxt)
-                seen.add(nxt)
-                nxt = self.mapping[nxt]
-            cycles.append(tuple(cyc))
-        cycles.sort(key=lambda c: -c[0])
-        self._cycles = tuple(cycles)
-        return self._cycles
+            self._cycles = canonical_cycles(self.mapping)
+            return self._cycles
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.mapping == other.mapping

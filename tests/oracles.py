@@ -20,7 +20,10 @@ a third description the successor tables are held against.
 The ordered-brick-tabloid validator and the two brick bijections are
 here too: the library enumerates tabloids by a chain walk alone.  So is the
 Kostka pair set listed by asking srht_find at every composition: the audit
-walks each shape's special rim-hook tableaux once instead.
+walks each shape's special rim-hook tableaux once instead.  And so is the
+rim-hook triple set listed from every Permutation of 1..n and the
+rim-hook tableaux of its cycle composition: the audit reads canonical cycle
+tuples, grouped by composition, and walks chains.
 
 The closed forms are the published ones: partial-sum products and
 centralizer orders z_lam, the refinement incidence and Moebius matrices with
@@ -47,10 +50,10 @@ from combinv.core import (
     sort_comp,
 )
 from combinv.framework import IndexedMatrix, build_B, local_terms
-from combinv.involutions import KostkaPair
+from combinv.involutions import KostkaPair, RhtTriple
 from combinv.kostka import enumerate_ssyt, srht_find
 from combinv.refine import cbt_find
-from combinv.rimhook import rimhook_system
+from combinv.rimhook import Permutation, cyc_comp, enumerate_rht, rimhook_system
 
 Cell = tuple[int, int]
 
@@ -683,4 +686,21 @@ def kostka_pairs_by_composition(lam, mu):
         found = srht_find(mu, beta)
         if found is not None:
             out += [KostkaPair(s, found[0]) for s in enumerate_ssyt(lam, beta)]
+    return out
+
+
+def rht_triples_by_permutation(lam, mu):
+    """The rim-hook triple set of (lam, mu): every permutation sigma of 1..n
+    with each rim-hook tableau of shape lam and each of shape mu whose
+    content is sigma's cycle composition."""
+    ground = tuple(range(1, sum(lam) + 1))
+    out = []
+    for images in permutations(ground):
+        sigma = Permutation(dict(zip(ground, images)))
+        beta = cyc_comp(sigma)
+        out += [
+            RhtTriple(s, t, sigma)
+            for s, _ in enumerate_rht(lam, beta)
+            for t, _ in enumerate_rht(mu, beta)
+        ]
     return out

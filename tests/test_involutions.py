@@ -1,20 +1,24 @@
 import hashlib
 import json
 import re
-import sys
 from dataclasses import astuple
 from itertools import permutations as all_permutations, product
 from math import factorial
 
 import pytest
 
-from combinv.core import Filling, chain_of, compositions, partitions
+from combinv.core import Filling, chain_of, compositions, filling_of, partitions, walk_chains
 from combinv.involutions import (
     KostkaPair,
     RhtTriple,
     _Memo,
-    _all_kostka_pairs,
-    _all_rht_triples,
+    _check_kostka,
+    _check_rht,
+    _content,
+    _kostka_pair_set,
+    _kostka_step,
+    _rht_step,
+    _rht_triple_set,
     _srht_chains,
     f_lambda,
     f_lambda_inv,
@@ -25,13 +29,53 @@ from combinv.involutions import (
     rht_involution,
     verify_pairing,
 )
-from combinv.rimhook import Permutation, cyc_comp, enumerate_rht
+from combinv.rimhook import Permutation, cyc_comp, enumerate_rht, hook_successors
 from goldens import AUDIT_REPORT_SHA256, INVOLUTION_IMAGE_SHA256
-from oracles import cells_of, diagram, kostka_pairs_by_composition
+from oracles import (
+    cells_of,
+    diagram,
+    kostka_pairs_by_composition,
+    rht_triples_by_permutation,
+)
+
+# per app: the chain-level pair-set builder, checker and step, and the
+# public involution
+APPS = {
+    "kostka": (_kostka_pair_set, _check_kostka, _kostka_step, kostka_involution),
+    "rimhook": (_rht_triple_set, _check_rht, _rht_step, rht_involution),
+}
+STEP_NAMES = {"kostka": "_kostka_step", "rimhook": "_rht_step"}
+PAIRING_NAMES = {"kostka": "kostka_pair", "rimhook": "rimhook_pair"}
 
 
 def all_choice_sequences(n):
     return product(*[range(1, k + 1) for k in range(n, 0, -1)])
+
+
+def wrap(obj, memo=None):
+    """The public pair or triple of a chain-level object: its chains as
+    Fillings and, for a triple, its cycles as a Permutation."""
+    fields = [filling_of(obj[0]), filling_of(obj[1])]
+    if len(obj) == 3:
+        fields.append(Permutation.from_cycles(list(obj[2])))
+    kind = KostkaPair if len(obj) == 2 else RhtTriple
+    return kind(*fields, _memo=_Memo() if memo is None else memo)
+
+
+def public_pair_set(app, lam, mu):
+    """The pair set of (lam, mu) as public objects sharing one memo, in the
+    order the audit lists it."""
+    memo = _Memo()
+    return [wrap(obj, memo) for obj in APPS[app][0](lam, mu, memo)]
+
+
+def verdict(check, *args):
+    """The ValueError message a check raises, or None."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestKostkaSurvivor:
@@ -285,13 +329,10 @@ class TestRhtInvolution:
     @pytest.mark.parametrize("app, n", [("kostka", 5), ("rimhook", 4)])
     def test_images_match_the_public_constructor(self, app, n):
         # an image built from chains equals the one its JSON rebuilds
-        build, apply_map = {
-            "kostka": (_all_kostka_pairs, kostka_involution),
-            "rimhook": (_all_rht_triples, rht_involution),
-        }[app]
+        apply_map = APPS[app][3]
         for lam in partitions(n):
             for mu in partitions(n):
-                for obj in build(lam, mu):
+                for obj in public_pair_set(app, lam, mu):
                     image = apply_map(obj)
                     if image is not None:
                         rebuilt = type(image).from_json(image.to_json())
@@ -301,12 +342,13 @@ class TestRhtInvolution:
     def test_audit_flags_a_map_that_moves_t(self, monkeypatch):
         from combinv import involutions
 
-        # replace T by a rim-hook tableau of shape (3,) and the same content
-        def move_t(triple, trace=None):
-            (t, _), *_ = enumerate_rht((3,), triple.t.content())
-            return RhtTriple(triple.s, t, triple.sigma)
+        # the step replaces T by a rim-hook tableau of shape (3,) and the
+        # same content: an image the checker passes, outside the pair set
+        def move_t(s, t, cycles, memo, trace):
+            t_moved, *_ = walk_chains(hook_successors, (3,), _content(t))
+            return s, t_moved, cycles
 
-        monkeypatch.setattr(involutions, "rht_involution", move_t)
+        monkeypatch.setattr(involutions, "_rht_step", move_t)
         report = verify_pairing("rimhook", (2, 1), (2, 1))
         assert report.size > 0 and not report.shape_preserved_ok
         assert not report.involution_ok
@@ -325,23 +367,28 @@ class TestAuditMemo:
         [("kostka", (3, 2), (1,) * 5, 28), ("rimhook", (3, 1, 1), (3, 1, 1), 280)],
     )
     def test_chain_of_runs_once_per_distinct_filling(self, monkeypatch, app, lam, mu, size):
-        # the enumerators hand the audit Fillings, and the involutions hand
-        # the constructor the Fillings of each image; through the memo the
-        # audit's objects and images share, each distinct one is turned
-        # into its chain once
-        calls = []
+        # only enumerate_ssyt hands the audit Fillings, each turned into its
+        # chain once; the rim-hook side walks chains and meets none.  The
+        # pair-set builder and the step ask every tableau check and local
+        # pairing through the one memo the audit's objects and images
+        # share, so each distinct one runs once
+        from combinv import involutions
 
-        def counting(filling):
-            calls.append(filling)
-            return chain_of(filling)
+        calls = {}
+        for name in ("chain_of", "is_ssyt", "is_srht", "is_rht", "kostka_pair", "rimhook_pair"):
+            original = getattr(involutions, name)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "combinv":
-                if getattr(module, "chain_of", None) is chain_of:
-                    monkeypatch.setattr(module, "chain_of", counting)
+            def counting(*args, _name=name, _original=original):
+                calls.setdefault(_name, []).append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(involutions, name, counting)
         report = verify_pairing(app, lam, mu)
         assert report.passed and report.size == size
-        assert len(calls) == len(set(calls)) > 0
+        assert all(len(args) == len(set(args)) for args in calls.values())
+        assert (len(calls.get("chain_of", ())) > 0) == (app == "kostka")
+        checks = ("is_ssyt", "is_srht") if app == "kostka" else ("is_rht",)
+        assert all(calls.get(name) for name in checks + (PAIRING_NAMES[app],))
 
     @pytest.mark.parametrize(
         "app, lam, mu, target",
@@ -356,7 +403,7 @@ class TestAuditMemo:
         # while broken, the pairing sends every shape at target to itself, so
         # those images keep their sign; nothing one audit memoizes may reach
         # the next, as the pairing is one function whose answers change
-        name = {"kostka": "kostka_pair", "rimhook": "rimhook_pair"}[app]
+        name = PAIRING_NAMES[app]
         original = getattr(involutions, name)
         live = {"broken": True}
 
@@ -374,12 +421,6 @@ class TestAuditMemo:
             live["broken"] = broken
             report = verify_pairing(app, lam, mu)
             assert report.passed != broken, report
-
-
-APPS = {
-    "kostka": (_all_kostka_pairs, kostka_involution),
-    "rimhook": (_all_rht_triples, rht_involution),
-}
 
 
 def fields_of(obj):
@@ -400,13 +441,14 @@ class TestConstruction:
     @pytest.mark.parametrize("app, top", [("kostka", 5), ("rimhook", 4)])
     def test_golden_image_digest(self, app, top):
         # every object of every pair set and its image, as the involutions
-        # gave them when images were built around the constructor
-        build, apply_map = APPS[app]
+        # gave them when images were built around the constructor; the
+        # audit's chain-level pair set lists them in the same order
+        apply_map = APPS[app][3]
         lines = []
         for n in range(top + 1):
             for lam in partitions(n):
                 for mu in partitions(n):
-                    for obj in build(lam, mu):
+                    for obj in public_pair_set(app, lam, mu):
                         image = apply_map(obj)
                         image = None if image is None else image.to_json()
                         lines.append(json.dumps([obj.to_json(), image]))
@@ -414,18 +456,34 @@ class TestConstruction:
         assert digest == INVOLUTION_IMAGE_SHA256[app]
 
     @pytest.mark.parametrize("app, n", [("kostka", 4), ("rimhook", 3)])
-    def test_image_carries_its_input_memo(self, app, n):
-        build, apply_map = APPS[app]
+    def test_image_carries_its_input_memo(self, monkeypatch, app, n):
+        # the step works in the memo it is handed, so mapping a pair set
+        # and every image back asks each local pairing once; the public map
+        # builds each image with its input's memo
+        from combinv import involutions
+
+        build, _, step, apply_map = APPS[app]
+        name = PAIRING_NAMES[app]
+        original = getattr(involutions, name)
+        calls = []
+
+        def counting(lam_bar, mu_bar):
+            calls.append((lam_bar, mu_bar))
+            return original(lam_bar, mu_bar)
+
+        monkeypatch.setattr(involutions, name, counting)
         moved = 0
         for lam in partitions(n):
             for mu in partitions(n):
-                objects = build(lam, mu)
-                assert all(obj._memo is objects[0]._memo for obj in objects)
-                for obj in objects:
-                    image = apply_map(obj)
+                memo = _Memo()
+                calls.clear()
+                for obj in build(lam, mu, memo):
+                    image = step(*obj, memo, None)
                     if image is not None:
                         moved += 1
-                        assert image._memo is obj._memo
+                        assert step(*image, memo, None) == obj
+                        assert apply_map(wrap(obj, memo))._memo is memo
+                assert len(calls) == len(set(calls))
         assert moved > 0
 
     def test_constructor_and_from_json_start_a_fresh_memo(self):
@@ -447,7 +505,7 @@ class TestConstruction:
         assert repr(kostka_survivor((2, 1))) == (
             "KostkaPair(s=Filling(((1, 1), (2,))), t=Filling(((1, 1), (2,))))"
         )
-        assert repr(_all_rht_triples((2,), (1, 1))[0]) == (
+        assert repr(public_pair_set("rimhook", (2,), (1, 1))[0]) == (
             "RhtTriple(s=Filling(((1, 2),)), t=Filling(((1,), (2,))), sigma=(2)(1))"
         )
 
@@ -490,13 +548,13 @@ class TestAuditOnePass:
     def test_each_object_is_mapped_once(self, monkeypatch, app, n):
         from combinv import involutions
 
-        name = {"kostka": "kostka_involution", "rimhook": "rht_involution"}[app]
+        name = STEP_NAMES[app]
         original = getattr(involutions, name)
         calls = []
 
-        def counting(obj, trace=None):
-            calls.append(obj)
-            return original(obj, trace)
+        def counting(*args):
+            calls.append(args[:-2])
+            return original(*args)
 
         monkeypatch.setattr(involutions, name, counting)
         for lam in partitions(n):
@@ -514,15 +572,13 @@ class TestAuditOnePass:
         # each object goes to the next of its group of three; a map that is
         # looked up once per object must still see that the image of the
         # image is not the object
-        build = {"kostka": _all_kostka_pairs, "rimhook": _all_rht_triples}[app]
-        objects = build(lam, mu)
+        objects = APPS[app][0](lam, mu, _Memo())
         assert len(objects) % 3 == 0
         nxt = {}
         for k in range(0, len(objects), 3):
             a, b, c = objects[k : k + 3]
             nxt.update({a: b, b: c, c: a})
-        name = {"kostka": "kostka_involution", "rimhook": "rht_involution"}[app]
-        monkeypatch.setattr(involutions, name, lambda obj, trace=None: nxt[obj])
+        monkeypatch.setattr(involutions, STEP_NAMES[app], lambda *args: nxt[args[:-2]])
         report = verify_pairing(app, lam, mu)
         assert report.size == len(objects) and not report.involution_ok
 
@@ -535,6 +591,95 @@ class TestAuditOnePass:
             ]
             assert len(contents) == len(set(contents))
             for lam in partitions(n):
-                pairs = _all_kostka_pairs(lam, mu)
+                pairs = public_pair_set("kostka", lam, mu)
                 assert len(pairs) == len(set(pairs))
                 assert set(pairs) == set(kostka_pairs_by_composition(lam, mu))
+
+
+# Bad images a step could give, in chain form: (app, s, t, cycles, the
+# checker's ValueError, the constructor's on the wrapped form).
+PLANTED = [
+    # a vertical domino is no horizontal strip
+    ("kostka", ((), (1, 1)), ((), (1, 1)), None,
+     "first component is not semistandard", "first component is not semistandard"),
+    # removing (1, 2) from (2,) leaves the last row: no special rim hook
+    ("kostka", ((), (1,), (2,)), ((), (1,), (2,)), None,
+     "second component is not a special rim-hook tableau",
+     "second component is not a special rim-hook tableau"),
+    ("kostka", ((), (2,)), ((), (1,), (1, 1)), None,
+     "contents disagree", "contents disagree"),
+    # a 2 x 2 square is no rim hook
+    ("rimhook", ((), (2, 2)), ((), (4,)), ((1, 2, 3, 4),),
+     "first component is not a rim-hook tableau", "first component is not a rim-hook tableau"),
+    ("rimhook", ((), (4,)), ((), (2, 2)), ((1, 2, 3, 4),),
+     "second component is not a rim-hook tableau", "second component is not a rim-hook tableau"),
+    # cycle lengths (1, 1) against the content (2,)
+    ("rimhook", ((), (2,)), ((), (2,)), ((2,), (1,)),
+     "contents and cycle composition must all agree",
+     "contents and cycle composition must all agree"),
+    # a permutation of {1, 3}, not of 1..2
+    ("rimhook", ((), (1,), (2,)), ((), (1,), (2,)), ((3,), (1,)),
+     "sigma is not a permutation of 1..n in canonical cycles",
+     "sigma is not a permutation of 1..n in canonical cycles"),
+    # 2 twice: no permutation at all
+    ("rimhook", ((), (1,), (2,)), ((), (1,), (2,)), ((2,), (2,)),
+     "sigma is not a permutation of 1..n in canonical cycles", "cycles are not disjoint"),
+    # minima increasing: in canonical order the lengths read (2, 1)
+    ("rimhook", ((), (1,), (3,)), ((), (1,), (3,)), ((1,), (2, 3)),
+     "sigma is not a permutation of 1..n in canonical cycles",
+     "contents and cycle composition must all agree"),
+]
+
+
+class TestChainLevel:
+    @pytest.mark.parametrize("app", ["kostka", "rimhook"])
+    def test_list_shapes(self, app):
+        # shapes are made tuples before any chain is built from them: a list
+        # inside a chain would be unhashable in the audit's memo
+        report = verify_pairing(app, [2, 1], [2, 1])
+        assert report.passed and (report.lam, report.mu) == ((2, 1), (2, 1))
+        assert astuple(report) == astuple(verify_pairing(app, (2, 1), (2, 1)))
+
+    @pytest.mark.parametrize("app, top", [("kostka", 6), ("rimhook", 5)])
+    def test_step_matches_the_public_map(self, app, top):
+        build, _, step, apply_map = APPS[app]
+        for n in range(top + 1):
+            for lam in partitions(n):
+                for mu in partitions(n):
+                    memo, public_memo = _Memo(), _Memo()
+                    for obj in build(lam, mu, memo):
+                        image = step(*obj, memo, None)
+                        public = apply_map(wrap(obj, public_memo))
+                        if image is None:
+                            assert public is None
+                        else:
+                            assert public == wrap(image)
+
+    @pytest.mark.parametrize("app, s, t, cycles, message, constructor", PLANTED)
+    def test_checker_gives_the_constructor_verdict(self, app, s, t, cycles, message, constructor):
+        check = APPS[app][1]
+        obj = (s, t) if cycles is None else (s, t, cycles)
+        assert verdict(check, *obj, _Memo()) == message
+        assert verdict(wrap, obj) == constructor
+
+    def test_rimhook_audit_builds_no_filling_or_permutation(self, monkeypatch):
+        built = []
+        for cls in (Filling, Permutation):
+
+            def counting(self, *args, _original=cls.__init__):
+                built.append(type(self))
+                _original(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        report = verify_pairing("rimhook", (3, 1, 1), (3, 1, 1))
+        assert report.passed and report.size == 280 and built == []
+        Permutation.from_cycles([(1,)])
+        assert built == [Permutation]
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_triple_set_matches_the_permutation_scan(self, n):
+        for lam in partitions(n):
+            for mu in partitions(n):
+                triples = public_pair_set("rimhook", lam, mu)
+                assert len(triples) == len(set(triples))
+                assert set(triples) == set(rht_triples_by_permutation(lam, mu))
