@@ -26,9 +26,10 @@ MAX_N = 12
 
 # Above these n, `verify` is refused.  kostka, rimhook and brick check the
 # global identity on P(n) alone; in-process global + local check at the
-# bound, three runs each on the same host: kostka n = 18 1.5-1.9 s, brick
-# n = 18 1.1-1.8 s, rimhook n = 16 2.0-2.7 s, with a peak RSS of at most
-# 35.9 MiB.
+# bound, three runs each on the same host: kostka n = 18 1.2-1.3 s and
+# 33.5 MiB peak RSS, brick n = 18 0.9 s and 35.8 MiB, rimhook n = 16
+# 1.3-1.4 s and 26.2 MiB, refine n = 12 0.9 s and 47.0 MiB, refine-weighted
+# n = 12 1.1-1.2 s and 49.0 MiB.
 MAX_VERIFY_N = {
     "kostka": 18,
     "rimhook": 16,

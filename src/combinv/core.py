@@ -11,7 +11,7 @@ never a cell set; `border_hook` is the one hook computation.  A structure
 is defined by its successor function succ(shape, L) alone, which the matrix
 recursion, `walk_chains` and `is_chain_tableau` all ask; `successors_by_size`
 makes one from a shape's removals and keeps them, filed by size, in a cache,
-and answers `holds`, one removal's test, by the table or by a rule on two shapes.
+and carries `holds`, one removal's test, when a rule on two shapes is given.
 Every function here is pure, so the whole module is safe for concurrent use.
 """
 
@@ -192,9 +192,9 @@ def successors_by_size(removals=None, *, holds=None):
     into the successor function succ(shape, L), the gammas of size L in that
     order.  Each shape's removals are filed by size once, in a functools
     cache that succ.cache_clear empties; every answer is a fresh list.
-    Every removal's size L is |shape| - |gamma|, so succ.holds(shape, gamma),
-    gamma in succ(shape, L), looks in the table or asks a rule on the two
-    shapes: @successors_by_size(holds=rule)."""
+    Every removal's size L is |shape| - |gamma|, so a rule on the two shapes
+    can test gamma in succ(shape, L) without listing them: succ.holds is the
+    rule given by @successors_by_size(holds=rule), and None without one."""
     if removals is None:
         return partial(successors_by_size, holds=holds)
 
@@ -211,9 +211,7 @@ def successors_by_size(removals=None, *, holds=None):
 
     del succ.__wrapped__  # succ takes (shape, L), not removals' (shape)
     succ.cache_clear, succ.cache_info = table.cache_clear, table.cache_info
-    succ.holds = holds or (
-        lambda shape, gamma: gamma in table(shape).get(sum(shape) - sum(gamma), ())
-    )
+    succ.holds = holds
     return succ
 
 

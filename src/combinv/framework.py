@@ -7,16 +7,16 @@ weight functions.  A weight is exact: an int, or a Fraction where it divides.
 Every table row is a pair (E, {key: int}): an int row over E, its least
 common denominator, whose true entry is int / E.  Two primitives on such
 rows carry the rest: the one-step matrix `_step_rows` (D(shape, gamma) =
-weight over R(m)) and the one product `_cross` (X * Y^T), which multiplies
-ints only.  One recursion sweeps the step rows up from level 0 to the
-level-n sparse tables {shape: (E, {beta: int})} without building a
-Fraction.  Both identities are `_cross` of two sparse tables, read by one
-reader for the stored entries and the diagonal: A_n * B_n = I globally
+weight over R(m)) and the one product check `_off_identity` (X * Y^T
+against the identity, a row at a time), which multiplies ints only.  One
+recursion sweeps the step rows up from level 0 to the level-n sparse
+tables {shape: (E, {beta: int})} without building a Fraction, and returns
+that table with the level-n step rows it was built from.  Both identities
+are `_off_identity` of two sparse tables: A_n * B_n = I globally
 (`verify_inversion`, the two level-n recursion tables) and one shape pair
 at a time (`verify_local`, the product D_A * D_B^T of the level-n step
-rows).  The level-n step rows are the top level of the recursion too, so
-`verify`, which runs both checks, builds them once per side and hands them
-to the recursion.
+rows).  `verify`, which runs both checks, makes one recursion pass per
+side and multiplies the step rows that pass returns.
 
 The recursion has one inner loop, and its key rule names the column of
 each term: `_append` gives the rectangular A and B.  When R(n) is the
@@ -212,24 +212,6 @@ def _step_rows(system: LocalSystem, m: int, succ: Succ, weight: Weight) -> dict:
     return rows
 
 
-def _cross(left: dict, right: dict) -> dict:
-    """The sparse product left * right^T of two sets of (D, int row) rows:
-    {lam: {mu: sum over shared keys k of left[lam][k] * right[mu][k]}}, the
-    int rows multiplied as they are, their denominators not applied.  A pair
-    (lam, mu) that shares no key is absent, a zero entry."""
-    by_key: dict = {}
-    for mu, (_, row) in right.items():
-        for k, value in row.items():
-            by_key.setdefault(k, []).append((mu, value))
-    product = {}
-    for lam, (_, row) in left.items():
-        sums = product[lam] = {}
-        for k, value in row.items():
-            for mu, other in by_key.get(k, ()):
-                sums[mu] = sums.get(mu, 0) + value * other
-    return product
-
-
 def _append(nu: Shape, length: int) -> Shape:
     """nu + (length,): the column keys of the rectangular tables A and B."""
     return nu + (length,)
@@ -256,10 +238,11 @@ def _recursion(
     succ: Succ,
     weight: Weight,
     extend: Callable[[Shape, int], Shape | None] = _append,
-    top: dict | None = None,
-) -> dict:
-    """The sparse table {shape: (E, {beta: int})} of M_n over R(n) x C(n),
-    whose entry at (shape, beta) is int / E, built up from M_0 = [1] by
+) -> tuple[dict, dict | None]:
+    """(M_n, D_n): the sparse table {shape: (E, {beta: int})} of M_n over
+    R(n) x C(n), whose entry at (shape, beta) is int / E, and the level-n
+    step rows it was built from (None at n = 0).  M_n is built up from
+    M_0 = [1] by
 
         M_m(s, beta + (L,)) = sum over g in succ(s, L) of weight(s, g) M_{m-L}(g, beta)
 
@@ -277,11 +260,13 @@ def _recursion(
     `_insert_part` for B_fold (see `verify_inversion`).  It is asked at
     most once per (size, L, beta): the first term from level `size` under
     L builds that pair's key map, and every term looks its key up there.
-    `top`, when given, is the level-n step rows, already built (see
-    `verify`).
+    The level-n step rows are built first, before levels 1..n-1, so a fault
+    in them is the one reported even when a lower level is broken too;
+    `verify` multiplies them again for the local check.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    top = _step_rows(system, n, succ, weight) if n else None
     base = system.shapes(0)
     if len(base) != 1:
         raise ValueError("R(0) must contain exactly one shape")
@@ -289,7 +274,7 @@ def _recursion(
     key_maps: dict = {}  # (size, L): {beta: extend(beta, L)} over level size
     for m in range(1, n + 1):
         level = {}
-        steps = _step_rows(system, m, succ, weight) if m < n or top is None else top
+        steps = top if m == n else _step_rows(system, m, succ, weight)
         for shape, (d, step) in steps.items():
             e, row = 1, {}
             for gamma, p in step.items():
@@ -321,7 +306,7 @@ def _recursion(
                     row = {beta: v // g for beta, v in row.items()}
             level[shape] = (e, row)
         levels.append(level)
-    return levels[n]
+    return levels[n], top
 
 
 def _key_map(level: dict, length: int, extend: Callable) -> dict:
@@ -364,7 +349,7 @@ def _build(system: LocalSystem, n: int, side: str) -> IndexedMatrix:
     break that condition at every n >= 3."""
     if side == "Asq" and system.shapes(n) != partitions(n):
         raise ValueError("sorting condition violated; restriction is lossy")
-    table = _recursion(system, n, *_side(system, side))
+    table, _ = _recursion(system, n, *_side(system, side))
     cols = partitions(n) if side.endswith("sq") else compositions(n)
     rows = _entries(table)
     if side[0] == "A":
@@ -423,28 +408,31 @@ def _off_identity(left: dict, right: dict) -> list[tuple[Shape, Shape, int | Fra
     the order of left's rows.  Only the stored entries of the product and
     the diagonal can differ.
 
-    `_cross` multiplies the int rows only: its entry v at (lam, mu) is
+    right's rows are indexed by key once; then each row lam of the product
+    is summed from {lam: 0} over the keys it shares with right, checked and
+    dropped before the next, so no more than one row of sums is held.  The
+    int rows are multiplied as they are: an entry v at (lam, mu) is
     D_lam * D_mu times the true one, which is checked against
     D_lam * D_mu * delta(lam, mu) and reported as v / (D_lam * D_mu), an
     int when that divides and a Fraction otherwise.
     """
+    by_key: dict = {}
+    for mu, (_, row) in right.items():
+        for k, value in row.items():
+            by_key.setdefault(k, []).append((mu, value))
     failures = []
-    for lam, row in _cross(left, right).items():
-        d_lam = left[lam][0]
-        for mu, v in {lam: 0, **row}.items():
+    for lam, (d_lam, row) in left.items():
+        sums = {lam: 0}
+        for k, value in row.items():
+            for mu, other in by_key.get(k, ()):
+                sums[mu] = sums.get(mu, 0) + value * other
+        for mu, v in sums.items():
             d = d_lam * right[mu][0]
             if v != d * (lam == mu):
                 failures.append((lam, mu, v // d if v % d == 0 else Fraction(v, d)))
     order = {shape: i for i, shape in enumerate(left)}
     failures.sort(key=lambda f: (order[f[0]], order[f[1]]))
     return failures
-
-
-def _local_report(
-    system: LocalSystem, n: int, step_a: dict, step_b: dict
-) -> LocalReport:
-    """The local check's report from the level-n step rows of both sides."""
-    return LocalReport(system.name, n, len(step_a) ** 2, _off_identity(step_a, step_b))
 
 
 def verify_local(system: LocalSystem, n: int) -> LocalReport:
@@ -458,20 +446,13 @@ def verify_local(system: LocalSystem, n: int) -> LocalReport:
         raise ValueError("n must be positive")
     step_a = _step_rows(system, n, system.succ_a, system.weight_a)
     step_b = _step_rows(system, n, system.succ_b, system.weight_b)
-    return _local_report(system, n, step_a, step_b)
+    return LocalReport(system.name, n, len(step_a) ** 2, _off_identity(step_a, step_b))
 
 
 def _tables(system: LocalSystem, n: int) -> list[tuple[dict, dict | None]]:
-    """(table, step rows) of the A side, then the B side: the level-n
-    recursion table that the global check multiplies, square when R(n) is
-    P(n), and the level-n step rows it was built from (None at n = 0), built
-    once for both checks."""
-    found = []
-    for side in ("Asq", "Bsq") if system.shapes is partitions else ("A", "B"):
-        succ, weight, extend = _side(system, side)
-        top = _step_rows(system, n, succ, weight) if n >= 1 else None
-        found.append((_recursion(system, n, succ, weight, extend, top), top))
-    return found
+    """`_recursion` of the A side, then the B side: square when R(n) is P(n)."""
+    sides = ("Asq", "Bsq") if system.shapes is partitions else ("A", "B")
+    return [_recursion(system, n, *_side(system, side)) for side in sides]
 
 
 def verify_inversion(system: LocalSystem, n: int) -> bool:
@@ -495,7 +476,10 @@ def verify(system: LocalSystem, n: int) -> tuple[bool, LocalReport | None]:
     level-n step rows built once: they are the top level of its recursion
     table and one factor of the local product D_A * D_B^T."""
     (table_a, step_a), (table_b, step_b) = _tables(system, n)
-    report = _local_report(system, n, step_a, step_b) if n >= 1 else None
+    report = None
+    if n >= 1:
+        failures = _off_identity(step_a, step_b)
+        report = LocalReport(system.name, n, len(step_a) ** 2, failures)
     return not _off_identity(table_a, table_b), report
 
 

@@ -148,6 +148,8 @@ class Abacus:
     word: tuple[int, ...]
 
     def __post_init__(self):
+        if not set(self.word) <= {0, 1}:
+            raise ValueError("word entries must be 0 or 1")
         if sum(self.word) != self.beads:
             raise ValueError("bead count disagrees with word")
         if self.word and self.word[-1] == 0:

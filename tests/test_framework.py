@@ -121,7 +121,7 @@ class TestRecursionMatchesTables:
         succ = getattr(system, "succ_" + side)
         weight = getattr(system, "weight_" + side)
         for n in range(7):
-            table = framework._recursion(system, n, succ, weight)
+            table = framework._recursion(system, n, succ, weight)[0]
             assert list(table) == system.shapes(n)
             for shape, (e, row) in table.items():
                 for beta in compositions(n):
@@ -159,7 +159,7 @@ class TestRecursionMatchesTables:
         succ = getattr(system, "succ_" + side)
         weight = getattr(system, "weight_" + side)
         for n in range(9):
-            table = framework._recursion(system, n, succ, weight)
+            table = framework._recursion(system, n, succ, weight)[0]
             expected = fraction_recursion(system, n, succ, weight)
             assert list(table) == list(expected)
             for shape, (e, row) in table.items():
@@ -369,13 +369,13 @@ class TestSparseInversion:
         # the rimhook recursion cancels entries to zero; every level drops
         # them, so the product sees only nonzero entries
         operands = []
-        cross = framework._cross
+        off_identity = framework._off_identity
 
         def recording(left, right):
             operands.extend((left, right))
-            return cross(left, right)
+            return off_identity(left, right)
 
-        monkeypatch.setattr(framework, "_cross", recording)
+        monkeypatch.setattr(framework, "_off_identity", recording)
         system = rimhook_system()
         for n in range(8):
             assert verify_inversion(system, n)
@@ -430,8 +430,8 @@ class TestScaledProduct:
                 _dense_step(system, n, "a"), _transposed(_dense_step(system, n, "b"))
             )
             assert _typed(verify_local(system, n).failures) == _typed(local)
-            table_a = framework._recursion(system, n, system.succ_a, system.weight_a)
-            table_b = framework._recursion(system, n, system.succ_b, system.weight_b)
+            table_a = framework._recursion(system, n, system.succ_a, system.weight_a)[0]
+            table_b = framework._recursion(system, n, system.succ_b, system.weight_b)[0]
             inversion = _dense_failures(build_A(system, n), build_B(system, n))
             assert _typed(framework._off_identity(table_a, table_b)) == _typed(inversion)
             types.update(type(v) for _, _, v in local + inversion)
@@ -441,16 +441,16 @@ class TestScaledProduct:
         assert types == ({int, Fraction} if side == "b" else {Fraction})
 
     def test_product_sees_only_ints(self, monkeypatch):
-        cross = framework._cross
+        off_identity = framework._off_identity
 
         def int_only(left, right):
             for table in (left, right):
                 for e, row in table.values():
                     assert type(e) is int, e
                     assert all(type(v) is int for v in row.values()), row
-            return cross(left, right)
+            return off_identity(left, right)
 
-        monkeypatch.setattr(framework, "_cross", int_only)
+        monkeypatch.setattr(framework, "_off_identity", int_only)
         for make in ALL_SYSTEMS:
             assert verify_inversion(make(), 6)
             assert verify_local(make(), 6).passed
@@ -527,16 +527,16 @@ def _square_tables(system, n):
     """A_sq and B_fold, the tables verify_inversion multiplies on P(n)."""
     table_a = framework._recursion(
         system, n, system.succ_a, system.weight_a, framework._append_part
-    )
+    )[0]
     table_b = framework._recursion(
         system, n, system.succ_b, system.weight_b, framework._insert_part
-    )
+    )[0]
     return table_a, table_b
 
 
 def _rectangular_failures(system, n):
-    table_a = framework._recursion(system, n, system.succ_a, system.weight_a)
-    table_b = framework._recursion(system, n, system.succ_b, system.weight_b)
+    table_a = framework._recursion(system, n, system.succ_a, system.weight_a)[0]
+    table_b = framework._recursion(system, n, system.succ_b, system.weight_b)[0]
     return framework._off_identity(table_a, table_b)
 
 
@@ -585,13 +585,13 @@ class TestSquareNative:
     def test_partition_apps_multiply_square_tables(self, make, monkeypatch):
         # verify_inversion picks the square rules exactly when R(n) is P(n)
         keys = set()
-        cross = framework._cross
+        off_identity = framework._off_identity
 
         def recording(left, right):
             keys.update(k for table in (left, right) for _, row in table.values() for k in row)
-            return cross(left, right)
+            return off_identity(left, right)
 
-        monkeypatch.setattr(framework, "_cross", recording)
+        monkeypatch.setattr(framework, "_off_identity", recording)
         system = make()
         assert verify_inversion(system, 5)
         square = system.shapes is partitions
@@ -643,6 +643,37 @@ class TestSharedStepRows:
             for length in range(1, m + 1)
         }
         assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("make", ALL_SYSTEMS)
+    def test_each_level_is_stepped_once_per_side(self, make, monkeypatch):
+        # verify builds each (side, level) step-row set once and multiplies
+        # twice, the local product and the global one; verify_inversion
+        # steps as often and multiplies once, verify_local steps level n
+        # once per side
+        system = make()
+        levels, products = Counter(), []
+        step_rows, off_identity = framework._step_rows, framework._off_identity
+
+        def counted_steps(system, m, succ, weight):
+            levels[m, weight is system.weight_a] += 1
+            return step_rows(system, m, succ, weight)
+
+        def counted_product(left, right):
+            products.append(None)
+            return off_identity(left, right)
+
+        monkeypatch.setattr(framework, "_step_rows", counted_steps)
+        monkeypatch.setattr(framework, "_off_identity", counted_product)
+        for n in range(7):
+            every_level = Counter({(m, a): 1 for m in range(1, n + 1) for a in (True, False)})
+            checks = [(verify, every_level, 2 if n else 1), (verify_inversion, every_level, 1)]
+            if n:
+                checks.append((verify_local, Counter({(n, True): 1, (n, False): 1}), 1))
+            for check, steps, multiplied in checks:
+                levels.clear()
+                products.clear()
+                check(system, n)
+                assert (levels, len(products)) == (steps, multiplied), (check, n)
 
     @pytest.mark.parametrize("app", sorted(cli._SYSTEMS))
     @pytest.mark.parametrize("below", [0, 2])

@@ -292,6 +292,22 @@ class TestAbacus:
         abacus = abacus_from_partition((3, 1), 4)
         assert Abacus.from_json(abacus.to_json()) == abacus
 
+    def test_words_are_binary(self):
+        # a bead is a 1 and a gap a 0; any other entry is refused by both
+        # constructors rather than read as a gap or a bead
+        for word in [(2,), (1, 0, 2), (1, -1, 1)]:
+            beads = sum(word)
+            with pytest.raises(ValueError, match="0 or 1"):
+                Abacus(beads, word)
+        for text in ["2", "102", "1201"]:
+            beads = sum(map(int, text))
+            with pytest.raises(ValueError, match="0 or 1"):
+                Abacus.from_json({"beads": beads, "word": text})
+        for n in range(7):
+            for lam in partitions(n):
+                abacus = abacus_from_partition(lam, len(lam) + 2)
+                assert Abacus.from_json(abacus.to_json()) == abacus
+
     @given(partition_strategy(), st.integers(min_value=0, max_value=5))
     def test_round_trip_property(self, lam, extra):
         beads = len(lam) + extra
