@@ -24,12 +24,15 @@ semistandard tableaux `enumerate_ssyt` lists, each turned into its chain.
 
 A `_Memo` does the pure work it is asked for once per distinct input: the
 local pairing at (lam_bar, mu_bar), the tableau check of a (chain,
-content), chain_of / filling_of, a chain's sign and the choice-sequence
-transport.  The audit makes one per call.  A pair or triple carries one in
-its one private field, `_memo` (keyword-only, outside equality, hashing and
-repr): the involutions build every image with its input's, and any other
-caller, or `from_json`, starts a fresh one.  No memo is kept at module
-level, so none outlives the objects or the audit that carry it.
+content), chain_of / filling_of, a chain's content and sign and the
+choice-sequence transport.  The audit makes one per call.  A pair or triple
+carries one in its one private field, `_memo` (keyword-only, outside
+equality, hashing and repr): the involutions build every image with its
+input's, and any other caller, or `from_json`, starts a fresh one.  No memo
+is kept at module level, so none outlives the objects or the audit that
+carry it.  A choice sequence's hook entries are the numbers of
+`rimhook.hook_table`: encoding looks each step's number up and decoding
+reads hook k off the table, so no hook is built again.
 """
 
 from __future__ import annotations
@@ -60,12 +63,11 @@ from .kostka import (
 )
 from .rimhook import (
     Permutation,
-    border_hook,
     border_number_of_hook,
     canonical_cycles,
-    cell_at,
     cyc_comp,
     hook_successors,
+    hook_table,
     is_rht,
     rimhook_pair,
 )
@@ -279,9 +281,10 @@ def _decode(
         shape = shapes[-1]
         pick = choices[pos]
         pos += 1
-        if not 1 <= pick <= sum(shape):
+        hooks = hook_table(shape)[0]
+        if not 1 <= pick <= len(hooks):
             raise ValueError("hook choice out of bounds")
-        gamma, size, _ = border_hook(shape, cell_at(shape, pick))
+        gamma, size, _ = hooks[pick - 1]
         cycle = [available.pop(0)]
         for _ in range(size - 1):
             pick = choices[pos]
@@ -306,7 +309,7 @@ def f_lambda_inv(filling: Filling, sigma: Permutation) -> ChoiceSequence:
 
 def _encode(chain: Chain, cycles: Cycles) -> ChoiceSequence:
     """f_lambda_inv of the survivor whose S is given by its chain and sigma
-    by its canonical cycles."""
+    by its canonical cycles; each hook's number is looked up in hook_table."""
     available = sorted(x for cycle in cycles for x in cycle)
     cycles = list(cycles)
     out: list[int] = []
@@ -364,8 +367,8 @@ def _check_rht(s: Chain | None, t: Chain | None, cycles: Cycles, memo: _Memo) ->
     sign.  None stands for a Filling with no chain_of."""
     if s is None:
         raise ValueError("first component is not a rim-hook tableau")
-    beta = _content(s)
-    if (t is not None and beta != _content(t)) or beta != tuple(map(len, cycles)):
+    beta = memo(_content, s)
+    if (t is not None and beta != memo(_content, t)) or beta != tuple(map(len, cycles)):
         raise ValueError("contents and cycle composition must all agree")
     if not memo(_is_canonical, cycles):
         raise ValueError("sigma is not a permutation of 1..n in canonical cycles")

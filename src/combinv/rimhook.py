@@ -6,19 +6,24 @@ rescales each row by the reciprocal of the partial-sum product of its key.
 Rim-hook removal/addition is mirrored on abaci as bead jumps, which is how
 the off-diagonal cancellation is computed.  A removable rim hook is the
 border hook of a cell, numbered in reading order, given by the shape it leaves.
-A rim hook is defined once, by hook_successors (a shape's removable rim hooks
-of every size, filed by `core.successors_by_size`): the recursion of both
-sides and the enumerator ask its lists, the validator its `holds`.
+A rim hook is defined once, by hook_removals, and each partition's hooks are
+built once, into its numbered border-hook table `hook_table`: the hooks in
+reading order and the map {gamma: number}.  hook_successors files the
+table's hooks by size (`core.successors_by_size`) for the recursion of both
+sides and the enumerator; every question about one hook is a lookup in it:
+border_number_of_hook, the validator's `holds` (a membership test), and the
+choice sequences of `involutions`, whose hook entries are these numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .core import (
-    Cell,
     Chain,
     Composition,
     Filling,
@@ -40,20 +45,10 @@ from .framework import LocalSystem, Pairing
 # Border rim-hooks
 # ---------------------------------------------------------------------------
 
-def cell_at(shape: tuple[int, ...], number: int) -> Cell:
-    """The `number`-th cell of dg(shape) in row-major reading order."""
-    if number < 1 or number > sum(shape):
-        raise ValueError("cell number out of range")
-    for i, row in enumerate(shape, start=1):
-        if number <= row:
-            return (i, number)
-        number -= row
-    raise AssertionError
-
-
 def hook_removals(lam: Partition) -> list[tuple[Partition, int, int]]:
     """All removable border rim-hooks as (gamma, size, sign), in reading
     order of their cells."""
+    require_partition(lam)
     return [
         border_hook(lam, (i, j))
         for i, row in enumerate(lam, start=1)
@@ -61,26 +56,29 @@ def hook_removals(lam: Partition) -> list[tuple[Partition, int, int]]:
     ]
 
 
-def _hook_cell(shape: Partition, gamma: Partition) -> Cell | None:
-    """The one cell (row, col) whose border hook may leave gamma, None when
-    shape and gamma agree: it sits in the first row where they differ, one
-    column right of gamma's part in the last such row.  The cell may lie
-    outside dg(shape) when gamma is not inside it."""
-    padded = gamma + (0,) * (len(shape) - len(gamma))
-    rows = [r for r, (a, b) in enumerate(zip(shape, padded), start=1) if a != b]
-    return (rows[0], padded[rows[-1] - 1] + 1) if rows else None
+@lru_cache(maxsize=None)
+def hook_table(
+    shape: Partition,
+) -> tuple[tuple[tuple[Partition, int, int], ...], Mapping[Partition, int]]:
+    """The numbered border hooks of a partition: hook_removals(shape) as a
+    tuple, hook k (1-based) at index k - 1, and the read-only map
+    {gamma: k}.  Built once per shape, in a functools cache that
+    hook_table.cache_clear empties."""
+    hooks = tuple(hook_removals(shape))
+    numbers = {gamma: k for k, (gamma, _, _) in enumerate(hooks, start=1)}
+    return hooks, MappingProxyType(numbers)
 
 
 def border_number_of_hook(shape: Partition, gamma: Partition) -> int:
     """Inverse of `border_hook` on shapes: the reading number of the cell
-    whose border hook leaves gamma."""
-    cell = _hook_cell(shape, gamma)
-    if cell is None:
-        raise ValueError("empty hook")
-    if border_hook(shape, cell)[0] != gamma:
-        raise ValueError("shape minus gamma is not a removable border rim-hook")
-    row, col = cell
-    return sum(shape[: row - 1]) + col
+    whose border hook leaves gamma, looked up in hook_table(shape)."""
+    try:
+        return hook_table(shape)[1][gamma]
+    except KeyError:
+        require_partition(gamma)
+        if gamma[: len(shape)] == shape:
+            raise ValueError("empty hook") from None
+        raise ValueError("shape minus gamma is not a removable border rim-hook") from None
 
 
 # ---------------------------------------------------------------------------
@@ -88,20 +86,19 @@ def border_number_of_hook(shape: Partition, gamma: Partition) -> int:
 # ---------------------------------------------------------------------------
 
 def _is_hook(shape: Partition, gamma: Partition) -> bool:
-    cell = _hook_cell(shape, gamma)
-    return (
-        cell is not None
-        and cell[1] <= shape[cell[0] - 1]
-        and border_hook(shape, cell)[0] == gamma
-    )
+    try:
+        return gamma in hook_table(shape)[1]
+    except ValueError:  # shape is no partition, so it has no hook table
+        return False
 
 
 @successors_by_size(holds=_is_hook)
 def hook_successors(shape: Partition) -> Iterator[tuple[Partition, int]]:
     """The shapes left by removing a border rim-hook of size `length`, in
     reading order: the border hooks of the cells (i, j) whose hook length
-    lam_i - j + lam'_j - i + 1 is `length`, at most one per row."""
-    return ((gamma, size) for gamma, size, _ in hook_removals(shape))
+    lam_i - j + lam'_j - i + 1 is `length`, at most one per row, read from
+    hook_table(shape), so each shape's hooks are built once."""
+    return ((gamma, size) for gamma, size, _ in hook_table(shape)[0])
 
 
 def enumerate_rht(lam: Partition, beta: Composition) -> list[tuple[Filling, int]]:

@@ -15,7 +15,9 @@ and defined by its successor function alone.  These predicates check the
 same structures directly on the cell set dg(lam) - dg(gamma), so the tests
 can compare the two descriptions.  shape_contains, is_strip_removal and
 is_hook_removal decide a strip or hook on the two shapes by a closed rule,
-a third description the successor tables are held against.
+a third description the successor tables are held against.  The reading
+number of a border hook found from its one possible cell (hook_cell,
+border_number_by_cell) is the rule the numbered hook table replaced.
 
 The ordered-brick-tabloid validator and the two brick bijections are
 here too: the library enumerates tabloids by a chain walk alone.  So is the
@@ -40,6 +42,7 @@ from math import factorial
 
 from combinv.core import (
     Filling,
+    border_hook,
     compositions,
     is_partition,
     last_part_sum,
@@ -140,6 +143,40 @@ def is_hook_removal(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
     padded = inner + (0,) * (len(outer) - len(inner))
     rows = [r for r, (a, b) in enumerate(zip(outer, padded)) if a != b]
     return bool(rows) and all(outer[r + 1] - padded[r] == 1 for r in rows[:-1])
+
+
+def cell_at(shape: tuple[int, ...], number: int) -> Cell:
+    """The `number`-th cell of dg(shape) in row-major reading order."""
+    if number < 1 or number > sum(shape):
+        raise ValueError("cell number out of range")
+    for i, row in enumerate(shape, start=1):
+        if number <= row:
+            return (i, number)
+        number -= row
+    raise AssertionError
+
+
+def hook_cell(shape: tuple[int, ...], gamma: tuple[int, ...]) -> Cell | None:
+    """The one cell (row, col) whose border hook may leave gamma, None when
+    shape and gamma agree: it sits in the first row where they differ, one
+    column right of gamma's part in the last such row.  The cell may lie
+    outside dg(shape) when gamma is not inside it."""
+    padded = gamma + (0,) * (len(shape) - len(gamma))
+    rows = [r for r, (a, b) in enumerate(zip(shape, padded), start=1) if a != b]
+    return (rows[0], padded[rows[-1] - 1] + 1) if rows else None
+
+
+def border_number_by_cell(shape: tuple[int, ...], gamma: tuple[int, ...]) -> int:
+    """The reading number of the cell whose border hook leaves gamma, found
+    by hook_cell and re-checked with one border_hook call: the rule the
+    library's numbered hook table replaces."""
+    cell = hook_cell(shape, gamma)
+    if cell is None:
+        raise ValueError("empty hook")
+    if border_hook(shape, cell)[0] != gamma:
+        raise ValueError("shape minus gamma is not a removable border rim-hook")
+    row, col = cell
+    return sum(shape[: row - 1]) + col
 
 
 def _set_partitions(n):

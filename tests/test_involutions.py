@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 
 from combinv.core import Filling, chain_of, compositions, filling_of, partitions, walk_chains
+from combinv.framework import local_terms
 from combinv.involutions import (
     KostkaPair,
     RhtTriple,
@@ -29,7 +30,15 @@ from combinv.involutions import (
     rht_involution,
     verify_pairing,
 )
-from combinv.rimhook import Permutation, cyc_comp, enumerate_rht, hook_successors
+from combinv.kostka import kostka_pair, kostka_system
+from combinv.rimhook import (
+    Permutation,
+    cyc_comp,
+    enumerate_rht,
+    hook_successors,
+    rimhook_pair,
+    rimhook_system,
+)
 from goldens import AUDIT_REPORT_SHA256, INVOLUTION_IMAGE_SHA256
 from oracles import (
     cells_of,
@@ -683,3 +692,74 @@ class TestChainLevel:
                 triples = public_pair_set("rimhook", lam, mu)
                 assert len(triples) == len(set(triples))
                 assert set(triples) == set(rht_triples_by_permutation(lam, mu))
+
+
+class TestHookLookups:
+    @staticmethod
+    def audit_n5():
+        shapes = partitions(5)
+        reports = [verify_pairing("rimhook", lam, mu) for lam in shapes for mu in shapes]
+        assert all(r.passed for r in reports) and sum(r.size for r in reports) == 7640
+
+    def test_each_border_hook_is_built_once(self, monkeypatch):
+        # the audit fills one numbered hook table per shape and looks every
+        # hook up there: no transport, check or walk builds a hook again
+        from combinv import core, involutions, kostka, rimhook
+
+        original = core.border_hook
+        calls = []
+
+        def counting(shape, cell):
+            calls.append((tuple(shape), cell))
+            return original(shape, cell)
+
+        for module in (core, rimhook, kostka, involutions):
+            if getattr(module, "border_hook", None) is original:
+                monkeypatch.setattr(module, "border_hook", counting)
+        rimhook.hook_table.cache_clear()
+        hook_successors.cache_clear()
+        self.audit_n5()
+        assert calls and len(calls) == len(set(calls))
+
+    def test_transport_is_the_public_pinned_map(self, monkeypatch):
+        from combinv import involutions
+
+        original = involutions._transport
+        seen = []
+
+        def recording(t_head, cycles, gamma):
+            image = original(t_head, cycles, gamma)
+            seen.append((t_head, cycles, gamma, image))
+            return image
+
+        monkeypatch.setattr(involutions, "_transport", recording)
+        self.audit_n5()
+        assert seen
+        for t_head, cycles, gamma, (head, cycles_out) in seen:
+            s, sigma = filling_of(t_head), Permutation.from_cycles(list(cycles))
+            mu = t_head[-1]
+            filling, moved = f_mu_rho(mu, gamma, f_mu_rho_inv(s, sigma), sigma.ground)
+            assert filling == filling_of(head) and moved.canonical_cycles() == cycles_out
+
+
+class TestLocalPairings:
+    @pytest.mark.parametrize(
+        "system, pair", [(kostka_system, kostka_pair), (rimhook_system, rimhook_pair)]
+    )
+    def test_members_are_the_local_terms(self, system, pair):
+        # the pairing the involutions swap through lists exactly the shared
+        # successors of the local identity at (lam, mu), each with the sign
+        # of its A.B term (rimhook's B carries 1/|mu|, so signs, not values)
+        system = system()
+        pairs = 0
+        for n in range(1, 11):
+            shapes = partitions(n)
+            for lam in shapes:
+                for mu in shapes:
+                    terms = local_terms(system, lam, mu)
+                    expected = {(gamma, (w > 0) - (w < 0)) for gamma, w in terms}
+                    members = pair(lam, mu).members
+                    assert len(members) == len(terms), (lam, mu)
+                    assert set(members) == expected, (lam, mu)
+                    pairs += 1
+        assert pairs == 3582

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import permutations as all_permutations
 from math import factorial
@@ -21,17 +22,19 @@ from combinv.rimhook import (
     abacus_move_bead,
     border_hook,
     border_number_of_hook,
-    cell_at,
     cyc_comp,
     cyc_part,
     enumerate_rht,
     hook_removals,
     hook_successors,
+    hook_table,
     is_rht,
     rimhook_pair,
     rimhook_system,
 )
 from oracles import (
+    border_number_by_cell,
+    cell_at,
     centralizer_order,
     check_sorting_condition,
     count_by_cyc_comp,
@@ -150,6 +153,46 @@ class TestBorderHooks:
         # dg((2, 2)) - dg(()) is the 2x2 square, which no border hook removes
         with pytest.raises(ValueError):
             border_number_of_hook((2, 2), ())
+
+    def test_non_partitions_are_refused(self):
+        # (1, 3) used to list a size-0 "hook" leaving (2, 3) and to number
+        # (1,) as hook 2 of it; (3, 1, 0) was an "empty hook" of (3, 1)
+        with pytest.raises(ValueError, match=r"\(1, 3\) is not a partition"):
+            hook_removals((1, 3))
+        with pytest.raises(ValueError, match=r"\(1, 3\) is not a partition"):
+            hook_table((1, 3))
+        with pytest.raises(ValueError, match=r"\(1, 3\) is not a partition"):
+            border_number_of_hook((1, 3), (1,))
+        with pytest.raises(ValueError, match=r"\(3, 1, 0\) is not a partition"):
+            border_number_of_hook((3, 1), (3, 1, 0))
+        # a predicate answers False on a shape with no hook table
+        assert not hook_successors.holds((1, 3), (1,))
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_hook_table_matches_cell_rule(self, n):
+        """Hook k of the table is the border hook of the k-th cell, and every
+        smaller partition gamma has the number the cell rule gives it, or
+        the ValueError, message included, that the rule raises."""
+        smaller = [gamma for m in range(n) for gamma in partitions(m)]
+        for lam in partitions(n):
+            hooks, numbers = hook_table(lam)
+            assert hooks == tuple(border_hook(lam, cell_at(lam, k)) for k in range(1, n + 1))
+            assert sorted(numbers.values()) == list(range(1, n + 1))
+            for gamma in smaller:
+                try:
+                    expected = border_number_by_cell(lam, gamma)
+                except ValueError as error:
+                    assert gamma not in numbers
+                    with pytest.raises(ValueError, match="^%s$" % re.escape(str(error))):
+                        border_number_of_hook(lam, gamma)
+                else:
+                    assert numbers[gamma] == border_number_of_hook(lam, gamma) == expected
+
+    def test_hook_table_is_read_only(self):
+        hooks, numbers = hook_table((2, 1))
+        with pytest.raises(TypeError):
+            numbers[(9,)] = 1
+        assert isinstance(hooks, tuple)
 
     def test_hook_removal_needs_containment(self):
         assert (1,) in hook_successors((2, 2), 3)
