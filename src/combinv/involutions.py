@@ -17,27 +17,28 @@ tableau predicates through the memo, and for a triple cycles that hold
 1..n once each in canonical order.  Filling and Permutation appear only at
 the public surface: the KostkaPair and RhtTriple constructors turn their
 fields into chains and call the checker, and `kostka_involution` and
-`rht_involution` unwrap, step and wrap.  `verify_pairing` builds its pair
-set as plain tuples, maps each once through the step and puts every object
-and image through the checker; the only Fillings it meets are the
-semistandard tableaux `enumerate_ssyt` lists, each turned into its chain.
+`rht_involution` step on the input's chains and build the image with the
+plain constructor.  `verify_pairing` builds its pair set as plain tuples,
+maps each once through the step and puts every object and image through
+the checker; the only Fillings it meets are the semistandard tableaux
+`enumerate_ssyt` lists, each turned into its chain.
 
 A `_Memo` does the pure work it is asked for once per distinct input: the
 local pairing at (lam_bar, mu_bar), the tableau check of a (chain,
-content), chain_of / filling_of, a chain's content and sign and the
-choice-sequence transport.  The audit makes one per call.  A pair or triple
-carries one in its one private field, `_memo` (keyword-only, outside
-equality, hashing and repr): the involutions build every image with its
-input's, and any other caller, or `from_json`, starts a fresh one.  No memo
-is kept at module level, so none outlives the objects or the audit that
-carry it.  A choice sequence's hook entries are the numbers of
-`rimhook.hook_table`: encoding looks each step's number up and decoding
-reads hook k off the table, so no hook is built again.
+content), a chain's content and sign and the choice-sequence transport.
+`verify_pairing` makes one per call and shares it across the pair set; a
+constructor checks, and a public involution steps, in a memo of its own
+call.  Pairs and triples are plain values: their fields are the Fillings
+(and the Permutation), and beside them each keeps only its chains and
+sign, worked out from them.  No memo is kept at module level, so none
+outlives the call that made it.  A choice sequence's hook entries are the
+numbers of `rimhook.hook_table`: encoding looks each step's number up and
+decoding reads hook k off the table, so no hook is built again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _itertools_permutations
 from math import factorial
@@ -196,13 +197,11 @@ class KostkaPair:
 
     s: Filling
     t: Filling
-    _memo: _Memo = field(default_factory=_Memo, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self):
-        memo = self._memo
-        chains = memo(chain_of, self.s), memo(chain_of, self.t)
+        chains = chain_of(self.s), chain_of(self.t)
         object.__setattr__(self, "_chains", chains)
-        object.__setattr__(self, "_sign", _check_kostka(*chains, memo))
+        object.__setattr__(self, "_sign", _check_kostka(*chains, _Memo()))
 
     @property
     def sign(self) -> int:
@@ -214,13 +213,6 @@ class KostkaPair:
     @classmethod
     def from_json(cls, data: dict) -> "KostkaPair":
         return cls(Filling.from_json(data["S"]), Filling.from_json(data["T"]))
-
-
-def _wrap(source, chains: tuple[Chain, Chain], *rest):
-    """The pair or triple of source's type with the Fillings of these
-    chains, built by its constructor with source's memo."""
-    memo = source._memo
-    return type(source)(*(memo(filling_of, c) for c in chains), *rest, _memo=memo)
 
 
 def kostka_survivor(lam: Partition) -> KostkaPair:
@@ -236,8 +228,8 @@ def kostka_involution(pair: KostkaPair, trace: list | None = None) -> KostkaPair
     Off fixed points the output has opposite sign, the same two shapes, and
     a second application returns the input.
     """
-    image = _kostka_step(*pair._chains, pair._memo, trace)
-    return None if image is None else _wrap(pair, image)
+    image = _kostka_step(*pair._chains, _Memo(), trace)
+    return None if image is None else KostkaPair(*map(filling_of, image))
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +378,11 @@ class RhtTriple:
     s: Filling
     t: Filling
     sigma: Permutation
-    _memo: _Memo = field(default_factory=_Memo, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self):
-        memo = self._memo
-        chains = memo(chain_of, self.s), memo(chain_of, self.t)
+        chains = chain_of(self.s), chain_of(self.t)
         object.__setattr__(self, "_chains", chains)
-        sign = _check_rht(*chains, self.sigma.canonical_cycles(), memo)
+        sign = _check_rht(*chains, self.sigma.canonical_cycles(), _Memo())
         object.__setattr__(self, "_sign", sign)
 
     @property
@@ -458,11 +448,11 @@ def rht_involution(triple: RhtTriple, trace: list | None = None) -> RhtTriple | 
     survivor with choice sequences, and restores everything renumbered.
     """
     cycles = triple.sigma.canonical_cycles()
-    image = _rht_step(*triple._chains, cycles, triple._memo, trace)
+    image = _rht_step(*triple._chains, cycles, _Memo(), trace)
     if image is None:
         return None
     s, t, cycles_out = image
-    return _wrap(triple, (s, t), Permutation.from_cycles(list(cycles_out)))
+    return RhtTriple(filling_of(s), filling_of(t), Permutation.from_cycles(list(cycles_out)))
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +496,10 @@ def _srht_chains(mu: Partition) -> list[Chain]:
 def _kostka_pair_set(lam: Partition, mu: Partition, memo: _Memo) -> list[tuple[Chain, Chain]]:
     """The pair set of (lam, mu) as chain pairs: each special rim-hook
     tableau T of shape mu with every semistandard tableau of shape lam and
-    T's content, as enumerate_ssyt lists it, turned into its chain."""
+    T's content, as enumerate_ssyt lists it, turned into its chain.  memo
+    goes unused: a content has at most one T, so each S occurs once."""
     return [
-        (memo(chain_of, s), t)
+        (chain_of(s), t)
         for t in _srht_chains(mu)
         for s in enumerate_ssyt(lam, _content(t))
     ]

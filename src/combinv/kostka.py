@@ -8,7 +8,10 @@ Each structure is defined once, by its successor function (a shape's strips
 or special rim hooks of every size, listed in one pass and filed by
 `core.successors_by_size`): the recursion and the enumerators ask its lists,
 the validators and `kostka_pair` its `holds`, which tests one removal on the
-two shapes and never lists a shape's strips.
+two shapes and never lists a shape's strips or hooks.  A special rim hook
+is told by the first row where the two shapes differ: it is the border hook
+of that row's column-1 cell, built once, in time linear in the rows, and
+kept nowhere.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .core import (
     border_hook,
     filling_of,
     is_chain_tableau,
+    is_partition,
     partitions,
     require_partition,
     rht_sign,
@@ -32,7 +36,6 @@ from .core import (
     walk_chains,
 )
 from .framework import LocalSystem, Pairing
-from .rimhook import hook_successors
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +95,17 @@ def srh_removals(mu: Partition) -> list[tuple[Partition, int, int]]:
     return [border_hook(mu, (i, 1)) for i in range(1, len(mu) + 1)]
 
 
-@successors_by_size(
-    holds=lambda mu, gamma: len(gamma) < len(mu) and hook_successors.holds(mu, gamma)
-)
+def _is_special_hook(mu: Partition, gamma: Partition) -> bool:
+    """gamma is left by a special rim hook of the partition mu: the hook of
+    row i changes no row above i and shortens row i, so i is the first row
+    where mu and gamma differ."""
+    if len(gamma) >= len(mu) or not is_partition(mu):
+        return False
+    i = next(i for i, part in enumerate(mu) if i == len(gamma) or gamma[i] != part)
+    return border_hook(mu, (i + 1, 1))[0] == gamma
+
+
+@successors_by_size(holds=_is_special_hook)
 def srh_successors(mu: Partition) -> Iterator[tuple[Partition, int]]:
     """The shapes left by removing a special rim-hook of size `length`: at most
     one, as the hook of row i has size mu_i + len(mu) - i, the hook length of (i, 1).

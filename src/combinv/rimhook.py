@@ -298,7 +298,7 @@ def canonical_cycles(mapping: dict[int, int]) -> tuple[tuple[int, ...], ...]:
 class Permutation:
     """A bijection on an arbitrary finite set of integers."""
 
-    __slots__ = ("ground", "mapping", "_cycles")
+    __slots__ = ("ground", "mapping")
 
     def __init__(self, mapping: dict[int, int]):
         self.ground = tuple(sorted(mapping))
@@ -327,12 +327,8 @@ class Permutation:
 
     def canonical_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Each cycle starts at its minimum; minima decrease left to right.
-        Worked out on the first call and kept with the permutation."""
-        try:
-            return self._cycles
-        except AttributeError:
-            self._cycles = canonical_cycles(self.mapping)
-            return self._cycles
+        Worked out from the mapping on every call: nothing is kept."""
+        return canonical_cycles(self.mapping)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.mapping == other.mapping

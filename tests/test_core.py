@@ -38,7 +38,7 @@ from combinv.kostka import (
     strip_removals,
 )
 from combinv.refine import cbt_find
-from combinv.rimhook import enumerate_rht, hook_successors, is_rht
+from combinv.rimhook import enumerate_rht, hook_successors, hook_table, is_rht
 from oracles import (
     all_fillings,
     cells_of,
@@ -55,6 +55,7 @@ from oracles import (
     multiset_union,
     partial_sum_product,
 )
+from test_removal_tables import _module_caches
 
 
 def brute_compositions(n):
@@ -331,10 +332,11 @@ class TestSuccessorsBySize:
     def test_validators_list_no_tables(self):
         """Validators and kostka_pair ask succ.holds, a rule on the two shapes,
         so they never list a shape's removals: the last prefix of the
-        staircase survivor below has 2**30 horizontal strips."""
-        succs = [strip_removals, srh_successors, hook_successors]
-        for succ in succs:
-            succ.cache_clear()
+        staircase survivor below has 2**30 horizontal strips.  The Kostka
+        rules fill no module-level cache at all; is_rht reads the numbered
+        hook table of each shape of its chain, and no other."""
+        for cache in _module_caches():
+            cache.cache_clear()
         stair = tuple(range(30, 0, -1))
         survivor = kostka_survivor(stair)
         assert KostkaPair.from_json(survivor.to_json()) == survivor
@@ -344,9 +346,16 @@ class TestSuccessorsBySize:
         assert matched.members == ((head + (2, 1), -1), (head + (2, 2), 1))
         column = filling_of(tuple((1,) * k for k in range(301)))
         chain, ones = chain_of(column), (1,) * 300
-        assert is_ssyt(chain, column.shape, ones) and is_rht(chain, column.shape, ones)
-        assert is_srht(chain, column.shape, ones)
-        assert [succ.cache_info().currsize for succ in succs] == [0, 0, 0]
+        assert is_ssyt(chain, column.shape, ones) and is_srht(chain, column.shape, ones)
+        assert {cache.cache_info().currsize for cache in _module_caches()} == {0}
+        assert is_rht(chain, column.shape, ones)
+        sizes = {cache: cache.cache_info().currsize for cache in _module_caches()}
+        assert sizes.pop(hook_table) == len(chain) - 1
+        assert set(sizes.values()) == {0}
+        hits = hook_table.cache_info().hits
+        for shape in chain[1:]:
+            hook_table(shape)
+        assert hook_table.cache_info().hits == hits + len(chain) - 1
 
     @pytest.mark.parametrize("n", range(13))
     def test_tables_match_shape_predicates(self, n):

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import re
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from itertools import permutations as all_permutations, product
 from math import factorial
 
@@ -61,21 +61,20 @@ def all_choice_sequences(n):
     return product(*[range(1, k + 1) for k in range(n, 0, -1)])
 
 
-def wrap(obj, memo=None):
+def wrap(obj):
     """The public pair or triple of a chain-level object: its chains as
     Fillings and, for a triple, its cycles as a Permutation."""
-    fields = [filling_of(obj[0]), filling_of(obj[1])]
+    values = [filling_of(obj[0]), filling_of(obj[1])]
     if len(obj) == 3:
-        fields.append(Permutation.from_cycles(list(obj[2])))
+        values.append(Permutation.from_cycles(list(obj[2])))
     kind = KostkaPair if len(obj) == 2 else RhtTriple
-    return kind(*fields, _memo=_Memo() if memo is None else memo)
+    return kind(*values)
 
 
 def public_pair_set(app, lam, mu):
-    """The pair set of (lam, mu) as public objects sharing one memo, in the
-    order the audit lists it."""
-    memo = _Memo()
-    return [wrap(obj, memo) for obj in APPS[app][0](lam, mu, memo)]
+    """The pair set of (lam, mu) as public objects, in the order the audit
+    lists it."""
+    return [wrap(obj) for obj in APPS[app][0](lam, mu, _Memo())]
 
 
 def verdict(check, *args):
@@ -465,13 +464,13 @@ class TestConstruction:
         assert digest == INVOLUTION_IMAGE_SHA256[app]
 
     @pytest.mark.parametrize("app, n", [("kostka", 4), ("rimhook", 3)])
-    def test_image_carries_its_input_memo(self, monkeypatch, app, n):
+    def test_each_local_pairing_is_asked_once_per_pair_set(self, monkeypatch, app, n):
         # the step works in the memo it is handed, so mapping a pair set
-        # and every image back asks each local pairing once; the public map
-        # builds each image with its input's memo
+        # and every image back through the audit's memo asks each local
+        # pairing once
         from combinv import involutions
 
-        build, _, step, apply_map = APPS[app]
+        build, _, step, _ = APPS[app]
         name = PAIRING_NAMES[app]
         original = getattr(involutions, name)
         calls = []
@@ -491,26 +490,23 @@ class TestConstruction:
                     if image is not None:
                         moved += 1
                         assert step(*image, memo, None) == obj
-                        assert apply_map(wrap(obj, memo))._memo is memo
                 assert len(calls) == len(set(calls))
         assert moved > 0
 
-    def test_constructor_and_from_json_start_a_fresh_memo(self):
-        for obj in some_objects():
-            again = type(obj)(*fields_of(obj))
-            rebuilt = type(obj).from_json(obj.to_json())
-            assert isinstance(obj._memo, _Memo)
-            assert len({id(obj._memo), id(again._memo), id(rebuilt._memo)}) == 3
+    def test_fields_are_the_public_values(self):
+        # a pair or triple is its Fillings and Permutation, and no state
+        assert [f.name for f in fields(KostkaPair)] == ["s", "t"]
+        assert [f.name for f in fields(RhtTriple)] == ["s", "t", "sigma"]
 
-    def test_memo_is_outside_equality_and_hashing(self):
+    def test_equal_objects_built_apart_are_equal_values(self):
         for obj in some_objects():
-            other = type(obj)(*fields_of(obj), _memo=_Memo())
-            assert other._memo is not obj._memo
-            assert other == obj and hash(other) == hash(obj)
-            assert other._chains == obj._chains
+            for other in (type(obj)(*fields_of(obj)), type(obj).from_json(obj.to_json())):
+                assert other is not obj
+                assert other == obj and hash(other) == hash(obj)
+                assert other._chains == obj._chains
 
     def test_repr(self):
-        # the memo is no part of the printed form
+        # the printed form holds the public fields only
         assert repr(kostka_survivor((2, 1))) == (
             "KostkaPair(s=Filling(((1, 1), (2,))), t=Filling(((1, 1), (2,))))"
         )
@@ -518,7 +514,7 @@ class TestConstruction:
             "RhtTriple(s=Filling(((1, 2),)), t=Filling(((1,), (2,))), sigma=(2)(1))"
         )
 
-    def test_memo_is_keyword_only(self):
+    def test_no_argument_beyond_the_fields(self):
         for obj in some_objects():
             with pytest.raises(TypeError, match="positional"):
                 type(obj)(*fields_of(obj), _Memo())
@@ -655,10 +651,10 @@ class TestChainLevel:
         for n in range(top + 1):
             for lam in partitions(n):
                 for mu in partitions(n):
-                    memo, public_memo = _Memo(), _Memo()
+                    memo = _Memo()
                     for obj in build(lam, mu, memo):
                         image = step(*obj, memo, None)
-                        public = apply_map(wrap(obj, public_memo))
+                        public = apply_map(wrap(obj))
                         if image is None:
                             assert public is None
                         else:

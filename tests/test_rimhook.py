@@ -479,6 +479,15 @@ class TestPermutations:
         sigma = Permutation.from_cycles([(5, 2, 1), (6, 4, 7), (9, 3), (8,)])
         assert Permutation.from_json(sigma.to_json()) == sigma
 
+    def test_canonical_cycles_are_a_plain_value(self):
+        # worked out from the mapping alone: equal on every call, and the
+        # same for a permutation read back from its JSON
+        sigma = Permutation.from_cycles([(5, 2, 1), (6, 4, 7), (9, 3), (8,)])
+        first = sigma.canonical_cycles()
+        assert sigma.canonical_cycles() == first == ((8,), (4, 7, 6), (3, 9), (1, 5, 2))
+        assert Permutation.from_json(sigma.to_json()).canonical_cycles() == first
+        assert Permutation.__slots__ == ("ground", "mapping")
+
 
 class TestCycleCounts:
     def test_known_values(self):
