@@ -8,10 +8,10 @@ built one incremental structure at a time is its chain of label-prefix shapes
 the bijection layer works on them, converting to a Filling only at its public
 surface.  A strip or hook is the pair of shapes gamma inside lam around it,
 never a cell set; `border_hook` is the one hook computation.  A structure
-is defined by its successor function succ(shape, L) alone, which the matrix
-recursion, `walk_chains` and `is_chain_tableau` all ask; `successors_by_size`
-makes one from a shape's removals and keeps them, filed by size, in a cache,
-and carries `holds`, one removal's test, when a rule on two shapes is given.
+is listed by its successor function succ(shape, L), which the recursion and
+`walk_chains` ask (`successors_by_size` files its removals in a cache), and
+tested by a rule on two shapes that lists nothing, such as `is_rim_hook`,
+which `is_chain_tableau` asks of each step.
 Every function here is pure, so the whole module is safe for concurrent use.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, wraps
 from itertools import zip_longest
 from math import factorial, prod
 
@@ -187,16 +187,30 @@ def border_hook(shape: Partition, cell: Cell) -> tuple[Partition, int, int]:
     return tuple(p for p in new if p), size, -1 if (bottom - i) % 2 else 1
 
 
-def successors_by_size(removals=None, *, holds=None):
+def is_rim_hook(shape: Partition, gamma: Partition) -> bool:
+    """shape/gamma is a removable border rim hook of the partition shape,
+    told in one pass over the rows with no hook built: the rows where they
+    differ run from a to b, row r < b of gamma is shape[r+1] - 1 (one column
+    shared with the row below) and row b lies in [shape[b+1], shape[b])."""
+    if len(gamma) > len(shape) or 0 in gamma or min(shape, default=0) < 1:
+        return False
+    joined = ended = False  # the hook goes on into the next row; it is over
+    for part, kept, below in zip_longest(shape, gamma, shape[1:], fillvalue=0):
+        if below > part or joined and kept == part:  # no partition; broken off
+            return False
+        if kept != part:
+            if ended or kept > part or kept < below - 1:
+                return False
+            joined = kept == below - 1
+            ended = not joined
+    return ended
+
+
+def successors_by_size(removals):
     """Decorator: turn removals(shape), every removal as (gamma, L) in order,
     into the successor function succ(shape, L), the gammas of size L in that
     order.  Each shape's removals are filed by size once, in a functools
-    cache that succ.cache_clear empties; every answer is a fresh list.
-    Every removal's size L is |shape| - |gamma|, so a rule on the two shapes
-    can test gamma in succ(shape, L) without listing them: succ.holds is the
-    rule given by @successors_by_size(holds=rule), and None without one."""
-    if removals is None:
-        return partial(successors_by_size, holds=holds)
+    cache that succ.cache_clear empties; every answer is a fresh list."""
 
     @lru_cache(maxsize=None)
     def table(shape: Partition) -> dict[int, list[Partition]]:
@@ -211,7 +225,6 @@ def successors_by_size(removals=None, *, holds=None):
 
     del succ.__wrapped__  # succ takes (shape, L), not removals' (shape)
     succ.cache_clear, succ.cache_info = table.cache_clear, table.cache_info
-    succ.holds = holds
     return succ
 
 
@@ -307,17 +320,17 @@ def filling_of(chain: Chain) -> Filling:
 
 
 def is_chain_tableau(
-    chain: Chain, shape: tuple[int, ...], content: Composition, succ
+    chain: Chain, shape: tuple[int, ...], content: Composition, rule
 ) -> bool:
     """The chain runs from () to `shape` in nonempty steps of the sizes
-    `content`, each shape in succ(next shape, step size), asked through
-    succ.holds: one of the chains walk_chains(succ, shape, content) lists.
-    A Filling is checked as chain_of(filling); None is no tableau."""
+    `content`, rule(outer, inner) true of each: a chain that walk_chains
+    lists from the successor function of that rule's structure.  A Filling
+    is checked as chain_of(filling); None is no tableau."""
     steps = list(zip(chain, chain[1:]))
     sizes = tuple(sum(outer) - sum(inner) for inner, outer in steps)
     if chain[0] != () or chain[-1] != tuple(shape) or sizes != tuple(content):
         return False
-    return all(sizes) and all(succ.holds(outer, inner) for inner, outer in steps)
+    return all(sizes) and all(rule(outer, inner) for inner, outer in steps)
 
 
 def walk_chains(succ, shape: tuple[int, ...], content: Composition) -> list[Chain]:

@@ -4,14 +4,13 @@ The A-family counts semistandard Young tableaux (Kostka numbers on a
 rectangular P(n) x C(n) index set); the B-family counts signed special
 rim-hook tableaux, of which at most one exists per (shape, content).  Each
 removal is the shape it leaves; a special rim hook is a column-1 border hook.
-Each structure is defined once, by its successor function (a shape's strips
-or special rim hooks of every size, listed in one pass and filed by
-`core.successors_by_size`): the recursion and the enumerators ask its lists,
-the validators and `kostka_pair` its `holds`, which tests one removal on the
-two shapes and never lists a shape's strips or hooks.  A special rim hook
-is told by the first row where the two shapes differ: it is the border hook
-of that row's column-1 cell, built once, in time linear in the rows, and
-kept nowhere.
+Each structure has one listing, its successor function (a shape's strips or
+special rim hooks of every size, listed in one pass and filed by
+`core.successors_by_size`), which the recursion and the enumerators ask, and
+one test, a rule on two shapes, which the validators and `kostka_pair` ask
+and which lists nothing: `_is_strip` keeps each row within what
+strip_removals lets it keep, and a special rim hook is a border rim hook
+(`core.is_rim_hook`) that empties the last row.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .core import (
     border_hook,
     filling_of,
     is_chain_tableau,
-    is_partition,
+    is_rim_hook,
     partitions,
     require_partition,
     rht_sign,
@@ -45,7 +44,7 @@ from .framework import LocalSystem, Pairing
 def is_ssyt(chain: Chain, lam: Partition, beta: Composition) -> bool:
     """Shape lam, content beta, each label class a horizontal strip added to
     a partition diagram (rows weakly increasing, columns strict)."""
-    return is_chain_tableau(chain, lam, beta, strip_removals)
+    return is_chain_tableau(chain, lam, beta, _is_strip)
 
 
 def _kept(lam: Partition) -> Iterator[range]:
@@ -59,7 +58,7 @@ def _is_strip(lam: Partition, gamma: Partition) -> bool:
             and all(g in kept for g, kept in zip(padded, _kept(lam))))
 
 
-@successors_by_size(holds=_is_strip)
+@successors_by_size
 def strip_removals(lam: Partition) -> Iterator[tuple[Partition, int]]:
     """Partitions gamma inside lam with lam/gamma a horizontal strip of
     `length`, in descending lexicographic order.
@@ -96,20 +95,15 @@ def srh_removals(mu: Partition) -> list[tuple[Partition, int, int]]:
 
 
 def _is_special_hook(mu: Partition, gamma: Partition) -> bool:
-    """gamma is left by a special rim hook of the partition mu: the hook of
-    row i changes no row above i and shortens row i, so i is the first row
-    where mu and gamma differ."""
-    if len(gamma) >= len(mu) or not is_partition(mu):
-        return False
-    i = next(i for i, part in enumerate(mu) if i == len(gamma) or gamma[i] != part)
-    return border_hook(mu, (i + 1, 1))[0] == gamma
+    """mu/gamma is a special rim hook: a border rim hook that empties mu's
+    last row, so it holds the bottom cell of column 1."""
+    return len(gamma) < len(mu) and is_rim_hook(mu, gamma)
 
 
-@successors_by_size(holds=_is_special_hook)
+@successors_by_size
 def srh_successors(mu: Partition) -> Iterator[tuple[Partition, int]]:
     """The shapes left by removing a special rim-hook of size `length`: at most
-    one, as the hook of row i has size mu_i + len(mu) - i, the hook length of (i, 1).
-    A special rim hook is the border rim hook that empties mu's last row."""
+    one, as the hook of row i has size mu_i + len(mu) - i, the hook length of (i, 1)."""
     return ((gamma, size) for gamma, size, _ in srh_removals(mu))
 
 
@@ -124,7 +118,7 @@ def srht_find(mu: Partition, beta: Composition) -> tuple[Filling, int] | None:
 def is_srht(chain: Chain, mu: Partition, beta: Composition) -> bool:
     """Each label class a special rim-hook of the right size added to a
     partition diagram."""
-    return is_chain_tableau(chain, mu, beta, srh_successors)
+    return is_chain_tableau(chain, mu, beta, _is_special_hook)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +152,7 @@ def kostka_pair(lam: Partition, mu: Partition) -> Pairing:
     removals = srh_removals(mu)
     first = None
     for idx, (gamma, _, _) in enumerate(removals):
-        if strip_removals.holds(lam, gamma):
+        if _is_strip(lam, gamma):
             first = idx
             break
     if first is None:
@@ -173,6 +167,6 @@ def kostka_pair(lam: Partition, mu: Partition) -> Pairing:
         raise AssertionError("unreachable: matched removal in the last row")
     g1, _, s1 = removals[i - 1]
     g2, _, s2 = removals[i]
-    if not strip_removals.holds(lam, g2) or s1 == s2:
+    if not _is_strip(lam, g2) or s1 == s2:
         raise AssertionError("local pairing failed structural check")
     return Pairing("matched", ((g1, s1), (g2, s2)))

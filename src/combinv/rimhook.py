@@ -6,13 +6,12 @@ rescales each row by the reciprocal of the partial-sum product of its key.
 Rim-hook removal/addition is mirrored on abaci as bead jumps, which is how
 the off-diagonal cancellation is computed.  A removable rim hook is the
 border hook of a cell, numbered in reading order, given by the shape it leaves.
-A rim hook is defined once, by hook_removals, and each partition's hooks are
+A rim hook is listed once, by hook_removals, and each partition's hooks are
 built once, into its numbered border-hook table `hook_table`: the hooks in
-reading order and the map {gamma: number}.  hook_successors files the
-table's hooks by size (`core.successors_by_size`) for the recursion of both
-sides and the enumerator; every question about one hook is a lookup in it:
-border_number_of_hook, the validator's `holds` (a membership test), and the
-choice sequences of `involutions`, whose hook entries are these numbers.
+reading order and the map {gamma: number}.  hook_successors files them by
+size for the recursion of both sides and the enumerator, and
+border_number_of_hook and the choice sequences of `involutions` read their
+numbers.  is_rht asks no table: it tests each step with `core.is_rim_hook`.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .core import (
     border_hook,
     filling_of,
     is_chain_tableau,
+    is_rim_hook,
     partitions,
     require_partition,
     rht_sign,
@@ -85,14 +85,7 @@ def border_number_of_hook(shape: Partition, gamma: Partition) -> int:
 # Rim-hook tableaux
 # ---------------------------------------------------------------------------
 
-def _is_hook(shape: Partition, gamma: Partition) -> bool:
-    try:
-        return gamma in hook_table(shape)[1]
-    except ValueError:  # shape is no partition, so it has no hook table
-        return False
-
-
-@successors_by_size(holds=_is_hook)
+@successors_by_size
 def hook_successors(shape: Partition) -> Iterator[tuple[Partition, int]]:
     """The shapes left by removing a border rim-hook of size `length`, in
     reading order: the border hooks of the cells (i, j) whose hook length
@@ -113,8 +106,8 @@ def enumerate_rht(lam: Partition, beta: Composition) -> list[tuple[Filling, int]
 
 def is_rht(chain: Chain, lam: Partition, beta: Composition) -> bool:
     """Label classes are rim-hooks of the right sizes and every label prefix
-    is a partition diagram."""
-    return is_chain_tableau(chain, lam, beta, hook_successors)
+    is a partition diagram, each step tested by `is_rim_hook`."""
+    return is_chain_tableau(chain, lam, beta, is_rim_hook)
 
 
 def rimhook_system() -> LocalSystem:

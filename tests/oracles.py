@@ -84,7 +84,7 @@ def is_horizontal_strip(cells: frozenset[Cell]) -> bool:
     return len(cols) == len(set(cols))
 
 
-def is_rim_hook(cells: frozenset[Cell]) -> bool:
+def is_rim_hook_cells(cells: frozenset[Cell]) -> bool:
     """Traversable by unit right/up steps from some starting cell.
 
     Each step changes the antidiagonal col-row by exactly +1, so the cells
@@ -107,7 +107,7 @@ def is_rim_hook(cells: frozenset[Cell]) -> bool:
 
 def is_special_rim_hook(cells: frozenset[Cell]) -> bool:
     """A rim hook whose starting (lowest) cell lies in column 1."""
-    if not is_rim_hook(cells):
+    if not is_rim_hook_cells(cells):
         return False
     start = min(cells, key=lambda c: c[1] - c[0])
     return start[1] == 1

@@ -16,6 +16,7 @@ from combinv.core import (
     compositions,
     filling_of,
     is_partition,
+    is_rim_hook,
     last_part_sum,
     multiplicity,
     multiset_diff,
@@ -27,6 +28,8 @@ from combinv.core import (
 from combinv.brick import enumerate_obt, part_decrements, sub_multisets_of_size
 from combinv.involutions import KostkaPair, kostka_survivor
 from combinv.kostka import (
+    _is_special_hook,
+    _is_strip,
     enumerate_ssyt,
     is_srht,
     is_ssyt,
@@ -38,7 +41,7 @@ from combinv.kostka import (
     strip_removals,
 )
 from combinv.refine import cbt_find
-from combinv.rimhook import enumerate_rht, hook_successors, hook_table, is_rht
+from combinv.rimhook import enumerate_rht, hook_successors, is_rht
 from oracles import (
     all_fillings,
     cells_of,
@@ -47,7 +50,7 @@ from oracles import (
     hook_sign,
     is_hook_removal,
     is_horizontal_strip,
-    is_rim_hook,
+    is_rim_hook_cells,
     is_special_rim_hook,
     is_strip_removal,
     last_part_sum_multinomial,
@@ -317,24 +320,11 @@ class TestSuccessorsBySize:
         with pytest.raises(TypeError):
             strip_removals(lam=(2, 1), length=1)
 
-    def test_holds_rule_or_table_lookup(self):
-        calls = []
-
-        def rows(shape):
-            calls.append(shape)
-            return [(shape[:i] + shape[i + 1 :], part) for i, part in enumerate(shape)]
-
-        ruled = successors_by_size(holds=lambda shape, gamma: len(gamma) == 1)(rows)
-        assert ruled.holds((5,), (9,)) and not ruled.holds((2, 1), ())
-        assert calls == []
-        assert ruled((2, 1), 2) == [(1,)]
-
     def test_validators_list_no_tables(self):
-        """Validators and kostka_pair ask succ.holds, a rule on the two shapes,
-        so they never list a shape's removals: the last prefix of the
-        staircase survivor below has 2**30 horizontal strips.  The Kostka
-        rules fill no module-level cache at all; is_rht reads the numbered
-        hook table of each shape of its chain, and no other."""
+        """Validators and kostka_pair ask each structure's rule on the two
+        shapes, so they never list a shape's removals: the last prefix of
+        the staircase survivor below has 2**30 horizontal strips.  No rule
+        fills a module-level cache, is_rht's rim-hook rule included."""
         for cache in _module_caches():
             cache.cache_clear()
         stair = tuple(range(30, 0, -1))
@@ -347,39 +337,40 @@ class TestSuccessorsBySize:
         column = filling_of(tuple((1,) * k for k in range(301)))
         chain, ones = chain_of(column), (1,) * 300
         assert is_ssyt(chain, column.shape, ones) and is_srht(chain, column.shape, ones)
-        assert {cache.cache_info().currsize for cache in _module_caches()} == {0}
         assert is_rht(chain, column.shape, ones)
-        sizes = {cache: cache.cache_info().currsize for cache in _module_caches()}
-        assert sizes.pop(hook_table) == len(chain) - 1
-        assert set(sizes.values()) == {0}
-        hits = hook_table.cache_info().hits
-        for shape in chain[1:]:
-            hook_table(shape)
-        assert hook_table.cache_info().hits == hits + len(chain) - 1
+        assert {cache.cache_info().currsize for cache in _module_caches()} == {0}
 
     @pytest.mark.parametrize("n", range(13))
     def test_tables_match_shape_predicates(self, n):
         """Every pair inner, outer with |inner| <= |outer| = n, L their size
         difference: membership in each successor table agrees with the
-        closed shape rules and with srh_removals, and succ.holds with both."""
+        closed shape rules and with srh_removals, and so does each
+        structure's rule, _is_strip, _is_special_hook and is_rim_hook.  The
+        inners include shapes longer than outer or not inside it.  Every
+        rule refuses an inner with a zero part and, for n >= 2, the
+        reversed outer, which is no partition; the hook rules also refuse
+        outer with a zero part, which strip_removals reads as an empty row."""
         inners = [inner for m in range(n + 1) for inner in partitions(m)]
+        rules = (_is_strip, _is_special_hook, is_rim_hook)
         for outer in partitions(n):
             special = [gamma for gamma, _, _ in srh_removals(outer)]
             for inner in inners:
                 length = n - sum(inner)
-                assert (inner in strip_removals(outer, length)) == (
-                    length > 0 and is_strip_removal(outer, inner)
-                ), (outer, inner)
-                assert (inner in hook_successors(outer, length)) == is_hook_removal(
-                    outer, inner
-                ), (outer, inner)
+                strip = inner in strip_removals(outer, length)
+                assert strip == (length > 0 and is_strip_removal(outer, inner)), (outer, inner)
+                hook = inner in hook_successors(outer, length)
+                assert hook == is_hook_removal(outer, inner), (outer, inner)
                 assert (inner in srh_successors(outer, length)) == (
                     inner in special
                 ), (outer, inner)
-                for succ in (strip_removals, hook_successors, srh_successors):
-                    assert succ.holds(outer, inner) == (
-                        inner in succ(outer, length)
-                    ), (succ.__name__, outer, inner)
+                assert _is_strip(outer, inner) == strip, (outer, inner)
+                assert is_rim_hook(outer, inner) == hook, (outer, inner)
+                assert _is_special_hook(outer, inner) == (inner in special), (outer, inner)
+                refused = [(outer, inner + (0,))]
+                if outer != outer[::-1]:  # the reversed outer is no partition
+                    refused.append((outer[::-1], inner))
+                assert not any(rule(*pair) for rule in rules for pair in refused), (outer, inner)
+                assert not any(rule(outer + (0,), inner) for rule in rules[1:]), (outer, inner)
 
 
 class TestFilling:
@@ -482,7 +473,7 @@ class TestChains:
                 beta = f.content()
                 ssyt = cell_set_tableau(f, is_horizontal_strip)
                 srht = cell_set_tableau(f, is_special_rim_hook)
-                rht = cell_set_tableau(f, is_rim_hook)
+                rht = cell_set_tableau(f, is_rim_hook_cells)
                 chain = chain_of(f)  # None: not a tableau, so every check rejects
                 accepts = lambda valid: chain is not None and valid(chain, lam, beta)
                 assert accepts(is_ssyt) == ssyt, f

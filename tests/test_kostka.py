@@ -25,7 +25,7 @@ from oracles import (
     diagram,
     hook_sign,
     is_horizontal_strip,
-    is_rim_hook,
+    is_rim_hook_cells,
     is_special_rim_hook,
     shape_contains,
 )
@@ -83,10 +83,10 @@ class TestPredicates:
         assert not is_horizontal_strip(frozenset({(1, 2), (2, 2)}))
 
     def test_rim_hook(self):
-        assert is_rim_hook(frozenset({(2, 1), (2, 2), (1, 2), (1, 3)}))
-        assert not is_rim_hook(frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}))
-        assert not is_rim_hook(frozenset({(1, 1), (1, 3)}))
-        assert not is_rim_hook(frozenset())
+        assert is_rim_hook_cells(frozenset({(2, 1), (2, 2), (1, 2), (1, 3)}))
+        assert not is_rim_hook_cells(frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}))
+        assert not is_rim_hook_cells(frozenset({(1, 1), (1, 3)}))
+        assert not is_rim_hook_cells(frozenset())
 
     def test_special_rim_hook(self):
         assert is_special_rim_hook(frozenset({(3, 1), (2, 1), (2, 2)}))

@@ -10,6 +10,7 @@ import goldens
 from combinv.core import (
     chain_of,
     compositions,
+    is_rim_hook,
     partitions,
     sort_comp,
 )
@@ -43,7 +44,7 @@ from oracles import (
     hook_sign,
     is_hook_removal,
     is_identity_product,
-    is_rim_hook,
+    is_rim_hook_cells,
     is_special_rim_hook,
     shape_contains,
     square_fold_B,
@@ -89,7 +90,7 @@ def brute_g_rimhook(lam, mu):
                 continue
             first = diagram(lam) - diagram(gamma)
             second = diagram(mu) - diagram(gamma)
-            if is_rim_hook(first) and is_rim_hook(second):
+            if is_rim_hook_cells(first) and is_rim_hook_cells(second):
                 out.append((gamma, hook_sign(first) * hook_sign(second)))
     return out
 
@@ -120,7 +121,7 @@ class TestBorderHooks:
                 for gamma, size, sign in hook_removals(lam):
                     assert shape_contains(lam, gamma)
                     cells = diagram(lam) - diagram(gamma)
-                    assert is_rim_hook(cells)
+                    assert is_rim_hook_cells(cells)
                     assert hook_sign(cells) == sign
                     assert len(cells) == size
 
@@ -165,8 +166,8 @@ class TestBorderHooks:
             border_number_of_hook((1, 3), (1,))
         with pytest.raises(ValueError, match=r"\(3, 1, 0\) is not a partition"):
             border_number_of_hook((3, 1), (3, 1, 0))
-        # a predicate answers False on a shape with no hook table
-        assert not hook_successors.holds((1, 3), (1,))
+        # the rule answers False on a shape with no hook table
+        assert not is_rim_hook((1, 3), (1,))
 
     @pytest.mark.parametrize("n", range(0, 11))
     def test_hook_table_matches_cell_rule(self, n):
@@ -196,14 +197,14 @@ class TestBorderHooks:
 
     def test_hook_removal_needs_containment(self):
         assert (1,) in hook_successors((2, 2), 3)
-        assert hook_successors.holds((2, 2), (1,))
+        assert is_rim_hook((2, 2), (1,))
         # each inner shape is smaller than the outer one but not inside it
         for outer, inner in [((3, 1), (1, 1, 1)), ((2, 2), (3,)), ((2, 2), (1, 1, 1)),
                              ((3, 1, 1), (4,)), ((3, 1, 1), (1, 1, 1, 1))]:
             length = sum(outer) - sum(inner)
             assert length > 0
             assert inner not in hook_successors(outer, length)
-            assert not hook_successors.holds(outer, inner)
+            assert not is_rim_hook(outer, inner)
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_shape_predicates_match_cell_set_oracle(self, n):
@@ -216,7 +217,7 @@ class TestBorderHooks:
             assert len(hooks) == n and len(special) == len(lam)
             for gamma in subshapes(lam):
                 cells = diagram(lam) - diagram(gamma)
-                rim = is_rim_hook(cells)
+                rim = is_rim_hook_cells(cells)
                 assert is_hook_removal(lam, gamma) == rim, (lam, gamma)
                 assert (gamma in hooks) == rim, (lam, gamma)
                 assert (gamma in special) == is_special_rim_hook(cells), (lam, gamma)

@@ -4,7 +4,10 @@ fixed-seed sample of entries, half of them among the stored nonzero ones.
 
 The sorting condition A(lam, beta) = A(lam, sort beta), under which the
 square A is the rectangular one restricted to partition columns, is sampled
-the same way at n = 12 and 16 for the apps whose shapes are partitions."""
+the same way at n = 12 and 16 for the apps whose shapes are partitions.
+
+The rim-hook rule, checked against the hook tables for every pair at
+n <= 12, is sampled on partitions of n = 20 to 40."""
 
 import random
 from fractions import Fraction
@@ -13,17 +16,18 @@ from functools import lru_cache
 import pytest
 
 from combinv.brick import enumerate_obt, obt_system
-from combinv.core import sort_comp
+from combinv.core import is_rim_hook, sort_comp
 from combinv.framework import build_A, build_B
-from combinv.kostka import enumerate_ssyt, kostka_system, srht_find
+from combinv.kostka import enumerate_ssyt, kostka_system, srht_find, strip_removals
 from combinv.refine import refine_system, weighted_system
-from combinv.rimhook import enumerate_rht, rimhook_system
-from oracles import partial_sum_product, refines, w_of, weighted_factors
+from combinv.rimhook import enumerate_rht, hook_successors, rimhook_system
+from oracles import is_hook_removal, partial_sum_product, refines, w_of, weighted_factors
 
 N = 10
 PER_SIDE = 50  # sampled entries of A and of B, so 100 per app
 SORTED = 40  # sampled compositions beta per app and n, for the sorting condition
 ENUMERATED = 1000  # the largest brick count also checked by listing tabloids
+SHAPES = 8  # sampled partitions per n for the rim-hook rule
 
 
 def obt_count(lam, beta):
@@ -161,3 +165,19 @@ def test_sorting_condition_sampled(app, n):
             shapes = [lam for lam in shapes if square.entry(lam, column)]
         lam = rng.choice(shapes)
         assert point_a(system, lam, beta) == square.entry(lam, column), (lam, beta)
+
+
+@pytest.mark.parametrize("n", range(20, 41, 4))
+def test_rim_hook_rule_sampled(n):
+    # each shape is a sorted uniform composition; every hook the table lists
+    # passes the rule, and every strip that is no hook fails it
+    rng = random.Random(n)
+    for _ in range(SHAPES):
+        lam = sort_comp(random_composition(n, rng))
+        for length in range(1, n + 1):
+            hooks = hook_successors(lam, length)
+            assert all(is_rim_hook(lam, gamma) for gamma in hooks), (lam, length)
+            for gamma in strip_removals(lam, length):
+                if gamma not in hooks:
+                    assert not is_rim_hook(lam, gamma), (lam, gamma)
+                    assert not is_hook_removal(lam, gamma), (lam, gamma)
