@@ -26,10 +26,10 @@ MAX_N = 12
 
 # Above these n, `verify` is refused.  kostka, rimhook and brick check the
 # global identity on P(n) alone; in-process global + local check at the
-# bound, three runs each on the same host: kostka n = 18 1.2-1.3 s and
-# 33.5 MiB peak RSS, brick n = 18 0.9 s and 35.8 MiB, rimhook n = 16
-# 1.3-1.4 s and 26.2 MiB, refine n = 12 0.9 s and 47.0 MiB, refine-weighted
-# n = 12 1.1-1.2 s and 49.0 MiB.
+# bound, three runs each on the same host: kostka n = 18 0.6-0.7 s and
+# 31.8 MiB peak RSS, brick n = 18 0.9-1.5 s and 35.1 MiB, rimhook n = 16
+# 0.6-0.9 s and 27.4 MiB, refine n = 12 0.9-1.0 s and 41.8 MiB,
+# refine-weighted n = 12 1.2-1.8 s and 53.0 MiB.
 MAX_VERIFY_N = {
     "kostka": 18,
     "rimhook": 16,

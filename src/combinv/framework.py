@@ -5,18 +5,26 @@ R(n), the one-step successor sets for both matrix families, and the two
 weight functions.  A weight is exact: an int, or a Fraction where it divides.
 
 Every table row is a pair (E, {key: int}): an int row over E, its least
-common denominator, whose true entry is int / E.  Two primitives on such
-rows carry the rest: the one-step matrix `_step_rows` (D(shape, gamma) =
-weight over R(m)) and the one product check `_off_identity` (X * Y^T
-against the identity, a row at a time), which multiplies ints only.  One
-recursion sweeps the step rows up from level 0 to the level-n sparse
+common denominator, whose true entry is int / E.  Three primitives on such
+rows carry the rest, and the two products multiply ints only: the one-step
+matrix `_step_rows` (D(shape, gamma) = weight over R(m)), the sparse
+product check `_off_identity` (X * Y^T against the identity, a row at a
+time, naming every failing entry) and the packed one `_is_identity` (the
+same verdict, each row of the product one sum of big-integer products).
+One recursion sweeps the step rows up from level 0 to the level-n sparse
 tables {shape: (E, {beta: int})} without building a Fraction, and returns
-that table with the level-n step rows it was built from.  Both identities
-are `_off_identity` of two sparse tables: A_n * B_n = I globally
-(`verify_inversion`, the two level-n recursion tables) and one shape pair
-at a time (`verify_local`, the product D_A * D_B^T of the level-n step
-rows).  `verify`, which runs both checks, makes one recursion pass per
-side and multiplies the step rows that pass returns.
+that table with the level-n step rows it was built from.
+
+Both identities multiply two sparse tables.  A_n * B_n = I globally
+(`verify_inversion`, the two level-n recursion tables) needs only a
+verdict, and `_is_identity` gives it: at the sizes `verify` runs, these
+tables store most entries of each row, so one packed product per row in
+C-level arithmetic beats a Python multiply-add per shared key.  The local
+identity, one shape pair at a time (`verify_local`, the product
+D_A * D_B^T of the level-n step rows), is `_off_identity`: its failures are
+reported entry by entry, and step rows are sparse, where packing loses to
+the row loop.  `verify`, which runs both checks, makes one recursion pass
+per side and multiplies the step rows that pass returns.
 
 The recursion has one inner loop, and its key rule names the column of
 each term: `_append` gives the rectangular A and B.  When R(n) is the
@@ -36,9 +44,11 @@ maps a side to its successors, weights and key rule.
 from __future__ import annotations
 
 import io
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Callable
 
 from .core import (
@@ -435,6 +445,41 @@ def _off_identity(left: dict, right: dict) -> list[tuple[Shape, Shape, int | Fra
     return failures
 
 
+def _is_identity(left: dict, right: dict) -> bool:
+    """Whether the product left * right^T of two tables of (D, int row) rows
+    over the same shapes is the identity: the verdict of `_off_identity`,
+    with each row of the product one sum of big-integer products.
+
+    Each key k of right is packed into one int, P_k = sum over mu of
+    right[mu][k] << (w * index(mu)), a digit of w bits per row of right.
+    Row lam of the product is then sum over k of left[lam][k] * P_k, whose
+    digit at mu is the entry v at (lam, mu), D_lam * D_mu times the true
+    one; the row is right exactly when it equals
+    (D_lam * D'_lam) << (w * index(lam)).  No digit of the difference can
+    carry into the next: w is two bits wider than both the largest
+    D_lam * D'_mu and a bound on every |v|, the largest sum of |left[lam][k]|
+    over a row times the largest |right[mu][k]|, so every digit of the
+    difference lies strictly inside +-2^(w-1), where balanced base-2^w
+    digits are unique.  The rows are summed by C-level big-integer
+    arithmetic, and none is decoded: a verdict needs no failing entry.
+    """
+    top = max(max(map(abs, row.values()), default=0) for _, row in right.values())
+    reach = max(sum(map(abs, row.values())) for _, row in left.values()) * top
+    dens = max(d for d, _ in left.values()) * max(d for d, _ in right.values())
+    width = max(reach, dens).bit_length() + 2
+    packed: defaultdict = defaultdict(int)  # a key no row of right holds packs to 0
+    for i, (_, row) in enumerate(right.values()):
+        shift = width * i
+        for k, value in row.items():
+            packed[k] += value << shift
+    index = {mu: i for i, mu in enumerate(right)}
+    for lam, (d_lam, row) in left.items():
+        total = sum(map(mul, row.values(), map(packed.__getitem__, row)))
+        if total != d_lam * right[lam][0] << width * index[lam]:
+            return False
+    return True
+
+
 def verify_local(system: LocalSystem, n: int) -> LocalReport:
     """Check the single-step cancellation identity for every shape pair: the
     local sums are the product D_A * D_B^T of the level-n step rows.
@@ -466,21 +511,27 @@ def verify_inversion(system: LocalSystem, n: int) -> bool:
     A(lam, beta) = A(lam, sort beta), which holds for the kostka, rimhook
     and brick systems (Egecioglu-Remmel 1990, 1991); without it the check
     proves nothing about A * B^T.
+
+    The product is the packed one, `_is_identity`: the answer is a verdict,
+    so no failing entry is decoded.
     """
     (table_a, _), (table_b, _) = _tables(system, n)
-    return not _off_identity(table_a, table_b)
+    return _is_identity(table_a, table_b)
 
 
 def verify(system: LocalSystem, n: int) -> tuple[bool, LocalReport | None]:
     """`verify_inversion` and, for n >= 1, `verify_local`, with each side's
     level-n step rows built once: they are the top level of its recursion
-    table and one factor of the local product D_A * D_B^T."""
+    table and one factor of the local product D_A * D_B^T.  The global
+    check is the packed verdict `_is_identity`; the local one stays the
+    sparse `_off_identity`, whose failing (lam, mu, value) the report
+    lists, on step rows too sparse for packing to pay."""
     (table_a, step_a), (table_b, step_b) = _tables(system, n)
     report = None
     if n >= 1:
         failures = _off_identity(step_a, step_b)
         report = LocalReport(system.name, n, len(step_a) ** 2, failures)
-    return not _off_identity(table_a, table_b), report
+    return _is_identity(table_a, table_b), report
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,11 @@ def _kept(lam: Partition) -> Iterator[range]:
 
 
 def _is_strip(lam: Partition, gamma: Partition) -> bool:
+    """lam/gamma is a nonempty horizontal strip: neither shape has a zero
+    part, and each row of gamma keeps a length `_kept(lam)` allows, where a
+    row of lam shorter than the next allows none, so lam is a partition."""
     padded = gamma + (0,) * (len(lam) - len(gamma))
-    return (gamma != lam and len(gamma) <= len(lam) and 0 not in gamma
+    return (gamma != lam and len(gamma) <= len(lam) and 0 not in gamma and 0 not in lam
             and all(g in kept for g, kept in zip(padded, _kept(lam))))
 
 
@@ -65,7 +68,9 @@ def strip_removals(lam: Partition) -> Iterator[tuple[Partition, int]]:
 
     Listed for every size in one pass, each row's kept length (`_kept`, the
     last row's down to 0) in descending order; the size of a strip is
-    |lam| - |gamma|.  `_is_strip` asks the same rule of one gamma."""
+    |lam| - |gamma|.  `_is_strip` asks the same rule of one gamma.  A lam
+    that is no partition is refused."""
+    require_partition(lam)
     size = sum(lam)
     for kept in product(*_kept(lam)):
         length = size - sum(kept)
@@ -89,8 +94,10 @@ def enumerate_ssyt(lam: Partition, beta: Composition) -> list[Filling]:
 def srh_removals(mu: Partition) -> list[tuple[Partition, int, int]]:
     """The removable special rim-hooks of dg(mu) as (gamma, size, sign): the
     border hooks of the column-1 cells (i, 1), one per row index.  Hook sizes
-    strictly decrease with i, so sizes identify hooks uniquely.
+    strictly decrease with i, so sizes identify hooks uniquely.  A mu that
+    is no partition is refused.
     """
+    require_partition(mu)
     return [border_hook(mu, (i, 1)) for i in range(1, len(mu) + 1)]
 
 

@@ -1,4 +1,5 @@
 import inspect
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -41,7 +42,7 @@ from combinv.kostka import (
     strip_removals,
 )
 from combinv.refine import cbt_find
-from combinv.rimhook import enumerate_rht, hook_successors, is_rht
+from combinv.rimhook import enumerate_rht, hook_removals, hook_successors, is_rht
 from oracles import (
     all_fillings,
     cells_of,
@@ -347,9 +348,8 @@ class TestSuccessorsBySize:
         closed shape rules and with srh_removals, and so does each
         structure's rule, _is_strip, _is_special_hook and is_rim_hook.  The
         inners include shapes longer than outer or not inside it.  Every
-        rule refuses an inner with a zero part and, for n >= 2, the
-        reversed outer, which is no partition; the hook rules also refuse
-        outer with a zero part, which strip_removals reads as an empty row."""
+        rule refuses an inner with a zero part, an outer with a zero part
+        and, for n >= 2, the reversed outer, which is no partition."""
         inners = [inner for m in range(n + 1) for inner in partitions(m)]
         rules = (_is_strip, _is_special_hook, is_rim_hook)
         for outer in partitions(n):
@@ -370,7 +370,32 @@ class TestSuccessorsBySize:
                 if outer != outer[::-1]:  # the reversed outer is no partition
                     refused.append((outer[::-1], inner))
                 assert not any(rule(*pair) for rule in rules for pair in refused), (outer, inner)
-                assert not any(rule(outer + (0,), inner) for rule in rules[1:]), (outer, inner)
+                assert not any(rule(outer + (0,), inner) for rule in rules), (outer, inner)
+
+
+# each removal structure's listing and its rule on two shapes share one shape
+# contract: the listing refuses a shape that is no partition, checking it once
+# per shape, and the rule answers False on it
+NOT_PARTITIONS = [(2, 0), (3, 1, 0), (0,), (1, 3), (2, 3, 1), (2, 2, -1)]
+
+
+@pytest.mark.parametrize(
+    "listing, rule",
+    [
+        (lambda shape: strip_removals(shape, 1), _is_strip),
+        (srh_removals, _is_special_hook),
+        (lambda shape: srh_successors(shape, 1), _is_special_hook),
+        (hook_removals, is_rim_hook),
+    ],
+    ids=["strip_removals", "srh_removals", "srh_successors", "hook_removals"],
+)
+@pytest.mark.parametrize("shape", NOT_PARTITIONS, ids=str)
+def test_listing_and_rule_refuse_non_partitions(listing, rule, shape):
+    with pytest.raises(ValueError, match=re.escape("%r is not a partition" % (shape,))):
+        listing(shape)
+    inners = [inner for m in range(sum(shape)) for inner in partitions(m)]
+    assert not any(rule(shape, inner) for inner in inners), shape
+    assert not rule(shape, shape[:1])
 
 
 class TestFilling:

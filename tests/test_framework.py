@@ -3,10 +3,12 @@ import inspect
 import io
 import json
 import pkgutil
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 
 import pytest
 
@@ -369,13 +371,13 @@ class TestSparseInversion:
         # the rimhook recursion cancels entries to zero; every level drops
         # them, so the product sees only nonzero entries
         operands = []
-        off_identity = framework._off_identity
+        is_identity = framework._is_identity
 
         def recording(left, right):
             operands.extend((left, right))
-            return off_identity(left, right)
+            return is_identity(left, right)
 
-        monkeypatch.setattr(framework, "_off_identity", recording)
+        monkeypatch.setattr(framework, "_is_identity", recording)
         system = rimhook_system()
         for n in range(8):
             assert verify_inversion(system, n)
@@ -441,19 +443,26 @@ class TestScaledProduct:
         assert types == ({int, Fraction} if side == "b" else {Fraction})
 
     def test_product_sees_only_ints(self, monkeypatch):
-        off_identity = framework._off_identity
+        # both products, the packed global one and the sparse local one
+        multiplied = Counter()
 
-        def int_only(left, right):
-            for table in (left, right):
-                for e, row in table.values():
-                    assert type(e) is int, e
-                    assert all(type(v) is int for v in row.values()), row
-            return off_identity(left, right)
+        def int_only(product):
+            def checked(left, right):
+                for table in (left, right):
+                    for e, row in table.values():
+                        assert type(e) is int, e
+                        assert all(type(v) is int for v in row.values()), row
+                multiplied[product.__name__] += 1
+                return product(left, right)
 
-        monkeypatch.setattr(framework, "_off_identity", int_only)
+            return checked
+
+        for name in ("_is_identity", "_off_identity"):
+            monkeypatch.setattr(framework, name, int_only(getattr(framework, name)))
         for make in ALL_SYSTEMS:
             assert verify_inversion(make(), 6)
             assert verify_local(make(), 6).passed
+        assert multiplied == {"_is_identity": 5, "_off_identity": 5}
 
 
 class TestExactWeights:
@@ -585,17 +594,185 @@ class TestSquareNative:
     def test_partition_apps_multiply_square_tables(self, make, monkeypatch):
         # verify_inversion picks the square rules exactly when R(n) is P(n)
         keys = set()
-        off_identity = framework._off_identity
+        is_identity = framework._is_identity
 
         def recording(left, right):
             keys.update(k for table in (left, right) for _, row in table.values() for k in row)
-            return off_identity(left, right)
+            return is_identity(left, right)
 
-        monkeypatch.setattr(framework, "_off_identity", recording)
+        monkeypatch.setattr(framework, "_is_identity", recording)
         system = make()
         assert verify_inversion(system, 5)
         square = system.shapes is partitions
         assert keys == set(partitions(5) if square else compositions(5))
+
+
+def _unit_lower(size, rng):
+    """A random lower unitriangular int matrix, entries -3..3 below the
+    diagonal, and its inverse, also int, by forward substitution."""
+    low = [[int(i == j) or (rng.randint(-3, 3) if i > j else 0) for j in range(size)]
+           for i in range(size)]
+    inverse = [[int(i == j) for j in range(size)] for i in range(size)]
+    for i in range(size):
+        for j in range(i):
+            inverse[i][j] = -sum(low[i][t] * inverse[t][j] for t in range(j, i))
+    return low, inverse
+
+
+def _inverse_pair(size, seed):
+    """Two tables over the same shapes whose product left * right^T is the
+    identity: left is X = L * U^T for random lower unitriangular L and U,
+    right holds the columns of X^-1 = (U^-1)^T * L^-1, and every row is
+    scaled by a random denominator, so the true entries stay the same."""
+    rng = random.Random(seed)
+    (low, low_inv), (up, up_inv) = _unit_lower(size, rng), _unit_lower(size, rng)
+    x = [[sum(map(mul, row, column)) for column in up] for row in low]
+    x_inv = [[sum(map(mul, column, row)) for row in zip(*low_inv)] for column in zip(*up_inv)]
+    shapes = [(size - i, i) for i in range(size)]  # any hashable keys do
+    left, right = {}, {}
+    for i, lam in enumerate(shapes):
+        d, e = rng.randint(1, 9), rng.randint(1, 9)
+        left[lam] = (d, {k: d * v for k, v in enumerate(x[i]) if v})
+        right[lam] = (e, {k: e * x_inv[k][i] for k in range(size) if x_inv[k][i]})
+    return left, right
+
+
+def _identity(size):
+    """The identity table over `size` shapes: row i holds 1 at key i, over 1."""
+    return {(size - i, i): (1, {i: 1}) for i in range(size)}
+
+
+def _planted(tables, *plants):
+    """A copy of (left, right) with one new key per plant (lam, x, {mu: y}),
+    which holds x in row lam of left and y in each row mu of right: the int
+    product left * right^T gains x * y at each (lam, mu)."""
+    left = {lam: (d, dict(row)) for lam, (d, row) in tables[0].items()}
+    right = {mu: (e, dict(row)) for mu, (e, row) in tables[1].items()}
+    for number, (lam, x, column) in enumerate(plants):
+        left[lam][1]["plant", number] = x
+        for mu, y in column.items():
+            right[mu][1]["plant", number] = y
+    return left, right
+
+
+def _verdicts(left, right):
+    """(packed, sparse): the verdicts of the two products on the same tables."""
+    return framework._is_identity(left, right), not framework._off_identity(left, right)
+
+
+# ROADMAP item 1's planted breaks: every B weight at mu tripled
+PLANTED_BREAKS = [
+    (kostka_system, (2, 1)),
+    (kostka_system, (5, 3, 1)),
+    (rimhook_system, (4, 4)),
+    (obt_system, (3, 3, 2)),
+    (weighted_system, (2, 1)),
+]
+
+
+class TestPackedProduct:
+    # `_is_identity`, the global check, against `_off_identity`, the sparse
+    # row loop that also names the failures
+    @pytest.mark.parametrize("make", ALL_SYSTEMS)
+    @pytest.mark.parametrize("change", [None, *B_CHANGES])
+    def test_agrees_on_app_tables_and_step_rows(self, make, change):
+        system = make()
+        if change is not None:
+            weight_b, apply = system.weight_b, B_CHANGES[change]
+            system = replace(system, weight_b=lambda mu, d: apply(weight_b(mu, d)))
+        found = []
+        for n in range(9 if change is None else 7):
+            (table_a, step_a), (table_b, step_b) = framework._tables(system, n)
+            packed, sparse = _verdicts(table_a, table_b)
+            assert packed == sparse, n
+            found.append(packed)
+            if n:
+                packed, sparse = _verdicts(step_a, step_b)
+                assert packed == sparse, n
+                found.append(packed)
+        assert all(found) == (change is None)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_planted_off_by_one_fails(self, seed):
+        tables = _inverse_pair(6, seed)
+        assert any(v < 0 for table in tables for _, row in table.values() for v in row.values())
+        assert _verdicts(*tables) == (True, True)
+        for lam in tables[0]:
+            for mu in tables[1]:
+                for value in (1, -1):
+                    for plant in ((lam, value, {mu: 1}), (lam, 1, {mu: value})):
+                        assert _verdicts(*_planted(tables, plant)) == (False, False), plant
+
+    def test_no_carry_hides_a_planted_pair(self):
+        # value * 2^bits at (lam, mu) and -value * 2^(bits - h) at (lam, next
+        # mu) pack to zero exactly when the digits are h bits wide; the
+        # planted entries set the width, which must exceed every h <= bits
+        identity = _identity(5)
+        shapes = list(identity)
+        for bits in (3, 31, 64):
+            for lam in shapes:
+                for mu, after in zip(shapes, shapes[1:]):
+                    for value in (1, -1):
+                        for h in range(1, bits + 1):
+                            high, low = value << bits, -value << (bits - h)
+                            plants = (
+                                [(lam, high, {mu: 1}), (lam, low, {after: 1})]
+                                if h % 2
+                                else [(lam, 1, {mu: high}), (lam, 1, {after: low})]
+                            )
+                            broken = _planted((identity, identity), *plants)
+                            assert _verdicts(*broken) == (False, False), (lam, mu, bits, h)
+
+    def test_entries_at_the_width_bound(self):
+        # a digit of the difference as wide as the bound allows, next to one
+        # that absorbs it at a width of h bits, for every h up to its size:
+        # a width that missed a term of the bound would be fooled
+        identity = _identity(4)
+        shapes = list(identity)
+        for lam in shapes:
+            for mu, after in zip(shapes, shapes[1:]):
+                for sign in (1, -1):
+                    # 2^r products a * a: |v| reaches the sum over the row's
+                    # keys, 2^r times the largest |x| * |y|
+                    for q, r in ((5, 4), (20, 6), (33, 3)):
+                        a = 1 << q
+                        digit = [(lam, sign * a, {mu: a})] * (1 << r)
+                        for h in range(1, 2 * q + r + 1):
+                            carry = (lam, -sign << (2 * q + r - h), {after: 1})
+                            broken = _planted((identity, identity), *digit, carry)
+                            assert _verdicts(*broken) == (False, False), (lam, mu, q, r, h)
+        for lam, after in zip(shapes, shapes[1:]):
+            # an empty row lam over D_lam = 2^bits: the difference is
+            # -D_lam * D'_lam at lam, which the next digit absorbs at h bits
+            for bits in range(1, 50):
+                left = {**identity, lam: (1 << bits, {})}
+                for h in range(1, bits + 1):
+                    broken = _planted((left, identity), (lam, 1 << (bits - h), {after: 1}))
+                    assert _verdicts(*broken) == (False, False), (lam, bits, h)
+            # the widest digit of all: v = -2^bits on the diagonal of a row over
+            # D = 2^bits, twice the larger of the bound on |v| and D * D',
+            # which the next digit absorbs at bits + 1 bits
+            for bits in range(1, 70):
+                left = {**identity, lam: (1 << bits, {})}
+                plants = (lam, -1 << bits, {lam: 1}), (lam, 1, {after: 1})
+                assert _verdicts(*_planted((left, identity), *plants)) == (False, False), bits
+
+    @pytest.mark.parametrize("make, mu", PLANTED_BREAKS)
+    def test_planted_breaks_first_fail_at_their_size(self, make, mu):
+        system = make()
+        weight_b = system.weight_b
+
+        def tripled(shape, gamma):
+            return weight_b(shape, gamma) * (3 if shape == mu else 1)
+
+        broken = replace(system, weight_b=tripled)
+        found = []
+        for n in range(sum(mu) + 1):
+            (table_a, _), (table_b, _) = framework._tables(broken, n)
+            packed, sparse = _verdicts(table_a, table_b)
+            assert packed == sparse, n
+            found.append(packed)
+        assert found == [True] * sum(mu) + [False]
 
 
 def _verify_text(system, n):
@@ -647,33 +824,41 @@ class TestSharedStepRows:
     @pytest.mark.parametrize("make", ALL_SYSTEMS)
     def test_each_level_is_stepped_once_per_side(self, make, monkeypatch):
         # verify builds each (side, level) step-row set once and multiplies
-        # twice, the local product and the global one; verify_inversion
-        # steps as often and multiplies once, verify_local steps level n
-        # once per side
+        # twice, the local product (sparse) and the global one (packed);
+        # verify_inversion steps as often and multiplies once, packed,
+        # verify_local steps level n once per side and multiplies once, sparse
         system = make()
-        levels, products = Counter(), []
-        step_rows, off_identity = framework._step_rows, framework._off_identity
+        levels, products = Counter(), Counter()
+        step_rows = framework._step_rows
 
         def counted_steps(system, m, succ, weight):
             levels[m, weight is system.weight_a] += 1
             return step_rows(system, m, succ, weight)
 
-        def counted_product(left, right):
-            products.append(None)
-            return off_identity(left, right)
+        def counted(product):
+            def wrapper(left, right):
+                products[product.__name__] += 1
+                return product(left, right)
+
+            return wrapper
 
         monkeypatch.setattr(framework, "_step_rows", counted_steps)
-        monkeypatch.setattr(framework, "_off_identity", counted_product)
+        for name in ("_is_identity", "_off_identity"):
+            monkeypatch.setattr(framework, name, counted(getattr(framework, name)))
+        packed, sparse = Counter({"_is_identity": 1}), Counter({"_off_identity": 1})
         for n in range(7):
             every_level = Counter({(m, a): 1 for m in range(1, n + 1) for a in (True, False)})
-            checks = [(verify, every_level, 2 if n else 1), (verify_inversion, every_level, 1)]
+            checks = [
+                (verify, every_level, packed + sparse if n else packed),
+                (verify_inversion, every_level, packed),
+            ]
             if n:
-                checks.append((verify_local, Counter({(n, True): 1, (n, False): 1}), 1))
+                checks.append((verify_local, Counter({(n, True): 1, (n, False): 1}), sparse))
             for check, steps, multiplied in checks:
                 levels.clear()
                 products.clear()
                 check(system, n)
-                assert (levels, len(products)) == (steps, multiplied), (check, n)
+                assert (levels, products) == (steps, multiplied), (check, n)
 
     @pytest.mark.parametrize("app", sorted(cli._SYSTEMS))
     @pytest.mark.parametrize("below", [0, 2])
