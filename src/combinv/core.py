@@ -319,6 +319,11 @@ def filling_of(chain: Chain) -> Filling:
     )
 
 
+def chain_content(chain: Chain) -> Composition:
+    """The sizes of a chain's steps: its tableau's content."""
+    return tuple(sum(outer) - sum(inner) for inner, outer in zip(chain, chain[1:]))
+
+
 def is_chain_tableau(
     chain: Chain, shape: tuple[int, ...], content: Composition, rule
 ) -> bool:
@@ -326,11 +331,10 @@ def is_chain_tableau(
     `content`, rule(outer, inner) true of each: a chain that walk_chains
     lists from the successor function of that rule's structure.  A Filling
     is checked as chain_of(filling); None is no tableau."""
-    steps = list(zip(chain, chain[1:]))
-    sizes = tuple(sum(outer) - sum(inner) for inner, outer in steps)
+    sizes = chain_content(chain)
     if chain[0] != () or chain[-1] != tuple(shape) or sizes != tuple(content):
         return False
-    return all(sizes) and all(rule(outer, inner) for inner, outer in steps)
+    return all(sizes) and all(rule(outer, inner) for inner, outer in zip(chain, chain[1:]))
 
 
 def walk_chains(succ, shape: tuple[int, ...], content: Composition) -> list[Chain]:

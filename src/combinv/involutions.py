@@ -18,10 +18,10 @@ tableau predicates through the memo, and for a triple cycles that hold
 the public surface: the KostkaPair and RhtTriple constructors turn their
 fields into chains and call the checker, and `kostka_involution` and
 `rht_involution` step on the input's chains and build the image with the
-plain constructor.  `verify_pairing` builds its pair set as plain tuples,
-maps each once through the step and puts every object and image through
-the checker; the only Fillings it meets are the semistandard tableaux
-`enumerate_ssyt` lists, each turned into its chain.
+plain constructor.  `verify_pairing` builds its pair set as plain tuples
+of chains, maps each once through the step and puts every object and image
+through the checker; it meets no Filling.  A tableau check is its step rule
+alone, which refuses a shape that is no partition, as chain_of does.
 
 A `_Memo` does the pure work it is asked for once per distinct input: the
 local pairing at (lam_bar, mu_bar), the tableau check of a (chain,
@@ -48,19 +48,19 @@ from .core import (
     Composition,
     Filling,
     Partition,
+    chain_content,
     chain_of,
     filling_of,
-    is_partition,
     require_partition,
     rht_sign,
     walk_chains,
 )
 from .kostka import (
-    enumerate_ssyt,
     is_srht,
     is_ssyt,
     kostka_pair,
     srh_removals,
+    ssyt_chains as enumerate_ssyt,  # the name perfbench's tracer and self-test patch
 )
 from .rimhook import (
     Permutation,
@@ -101,18 +101,6 @@ def _trace_step(trace: list, action: str, before, after):
 def _trace_chains(trace: list, action: str, label: int, s: Chain, t: Chain):
     after = {"S": filling_of(s).to_json(), "T": filling_of(t).to_json()}
     _trace_step(trace, action, {"label": label}, after)
-
-
-def _content(chain: Chain) -> Composition:
-    """The sizes of a chain's steps: its tableau's content."""
-    return tuple(sum(outer) - sum(inner) for inner, outer in zip(chain, chain[1:]))
-
-
-def _is_tableau(is_kind, chain: Chain, beta: Composition) -> bool:
-    """is_kind(chain, its top shape, beta) with that shape a partition, so
-    that, each step leaving a partition, every shape of the chain is one,
-    as chain_of requires of a Filling's chain."""
-    return is_partition(chain[-1]) and is_kind(chain, chain[-1], beta)
 
 
 def _strip_and_swap(
@@ -166,15 +154,16 @@ def _row_chain(lam: Partition) -> Chain:
 def _check_kostka(s: Chain | None, t: Chain | None, memo: _Memo) -> int:
     """Raise the ValueError KostkaPair raises unless the chains s and t are
     a semistandard and a special rim-hook tableau of one content; return
-    the pair's sign.  None stands for a Filling with no chain_of."""
+    the pair's sign.  None stands for a Filling with no chain_of, and a
+    chain through a shape that is no partition fails its step rule."""
     if s is None:
         raise ValueError("first component is not semistandard")
-    beta = _content(s)
-    if t is not None and beta != _content(t):
+    beta = chain_content(s)
+    if t is not None and beta != chain_content(t):
         raise ValueError("contents disagree")
-    if not memo(_is_tableau, is_ssyt, s, beta):
+    if not memo(is_ssyt, s, s[-1], beta):
         raise ValueError("first component is not semistandard")
-    if t is None or not memo(_is_tableau, is_srht, t, beta):
+    if t is None or not memo(is_srht, t, t[-1], beta):
         raise ValueError("second component is not a special rim-hook tableau")
     return memo(rht_sign, t)
 
@@ -356,17 +345,18 @@ def _check_rht(s: Chain | None, t: Chain | None, cycles: Cycles, memo: _Memo) ->
     """Raise the ValueError RhtTriple raises unless the chains s and t are
     rim-hook tableaux of one content and the cycles, of those lengths, are
     the canonical cycles of a permutation of 1..n; return the triple's
-    sign.  None stands for a Filling with no chain_of."""
+    sign.  None stands for a Filling with no chain_of, and a chain through
+    a shape that is no partition fails is_rht's step rule."""
     if s is None:
         raise ValueError("first component is not a rim-hook tableau")
-    beta = memo(_content, s)
-    if (t is not None and beta != memo(_content, t)) or beta != tuple(map(len, cycles)):
+    beta = memo(chain_content, s)
+    if (t is not None and beta != memo(chain_content, t)) or beta != tuple(map(len, cycles)):
         raise ValueError("contents and cycle composition must all agree")
     if not memo(_is_canonical, cycles):
         raise ValueError("sigma is not a permutation of 1..n in canonical cycles")
-    if not memo(_is_tableau, is_rht, s, beta):
+    if not memo(is_rht, s, s[-1], beta):
         raise ValueError("first component is not a rim-hook tableau")
-    if t is None or not memo(_is_tableau, is_rht, t, beta):
+    if t is None or not memo(is_rht, t, t[-1], beta):
         raise ValueError("second component is not a rim-hook tableau")
     return memo(rht_sign, s) * memo(rht_sign, t)
 
@@ -496,13 +486,9 @@ def _srht_chains(mu: Partition) -> list[Chain]:
 def _kostka_pair_set(lam: Partition, mu: Partition, memo: _Memo) -> list[tuple[Chain, Chain]]:
     """The pair set of (lam, mu) as chain pairs: each special rim-hook
     tableau T of shape mu with every semistandard tableau of shape lam and
-    T's content, as enumerate_ssyt lists it, turned into its chain.  memo
-    goes unused: a content has at most one T, so each S occurs once."""
-    return [
-        (chain_of(s), t)
-        for t in _srht_chains(mu)
-        for s in enumerate_ssyt(lam, _content(t))
-    ]
+    T's content, as ssyt_chains lists their chains; no Filling is built.
+    memo goes unused: a content has at most one T, so each S occurs once."""
+    return [(s, t) for t in _srht_chains(mu) for s in enumerate_ssyt(lam, chain_content(t))]
 
 
 @lru_cache(maxsize=None)

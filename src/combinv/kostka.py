@@ -10,12 +10,14 @@ special rim hooks of every size, listed in one pass and filed by
 one test, a rule on two shapes, which the validators and `kostka_pair` ask
 and which lists nothing: `_is_strip` keeps each row within what
 strip_removals lets it keep, and a special rim hook is a border rim hook
-(`core.is_rim_hook`) that empties the last row.
+(`core.is_rim_hook`) that empties the last row.  `ssyt_chains` lists the
+semistandard tableaux as chains, which the bijection layer walks, in the
+row-major order of the Fillings `enumerate_ssyt` makes of them.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, zip_longest
 from typing import Iterator
 
 from .core import (
@@ -78,13 +80,19 @@ def strip_removals(lam: Partition) -> Iterator[tuple[Partition, int]]:
             yield (kept if kept[-1] else kept[:-1]), length
 
 
-def enumerate_ssyt(lam: Partition, beta: Composition) -> list[Filling]:
-    """All semistandard tableaux of the given shape and content, built by
-    peeling the top-label horizontal strip as the Kostka recursion does;
-    output is sorted row-major for reproducibility."""
+def ssyt_chains(lam: Partition, beta: Composition) -> list[Chain]:
+    """The semistandard tableaux of shape lam and content beta as chains, in
+    the row-major order of their Fillings: more small labels in a row first."""
     require_partition(lam)
-    fillings = [filling_of(chain) for chain in walk_chains(strip_removals, lam, beta)]
-    return sorted(fillings, key=lambda f: f.rows)
+    return sorted(
+        walk_chains(strip_removals, lam, beta),
+        key=lambda chain: [[-p for p in row] for row in zip_longest(*chain[1:], fillvalue=0)],
+    )
+
+
+def enumerate_ssyt(lam: Partition, beta: Composition) -> list[Filling]:
+    """The semistandard tableaux of shape lam and content beta, sorted row-major."""
+    return [filling_of(chain) for chain in ssyt_chains(lam, beta)]
 
 
 # ---------------------------------------------------------------------------

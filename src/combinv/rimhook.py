@@ -172,10 +172,12 @@ class Abacus:
 
     @classmethod
     def from_json(cls, data: dict) -> "Abacus":
+        if type(data["beads"]) is not int:
+            raise ValueError("bead count must be an integer")
         word = tuple(int(ch) for ch in data["word"])
         while word and word[-1] == 0:
             word = word[:-1]
-        return cls(int(data["beads"]), word)
+        return cls(data["beads"], word)
 
 
 def abacus_from_partition(lam: Partition, beads: int) -> Abacus:

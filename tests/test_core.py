@@ -12,6 +12,7 @@ import goldens
 
 from combinv.core import (
     Filling,
+    chain_content,
     chain_of,
     column_length,
     compositions,
@@ -27,7 +28,7 @@ from combinv.core import (
     walk_chains,
 )
 from combinv.brick import enumerate_obt, part_decrements, sub_multisets_of_size
-from combinv.involutions import KostkaPair, kostka_survivor
+from combinv.involutions import KostkaPair, _Memo, _check_kostka, _check_rht, kostka_survivor
 from combinv.kostka import (
     _is_special_hook,
     _is_strip,
@@ -461,6 +462,27 @@ class TestChains:
         # labels 1 and 3 of a row (1, 3): the empty step of label 2 is no tableau
         assert chain_of(Filling(((1, 3),))) == ((), (1,), (1,), (2,))
         assert not validator(((), (1,), (1,), (2,)), (2,), (1, 0, 1))
+        # a chain through a shape that is no partition, at the top or inside,
+        # is refused by each step's rule alone, and so by the chain checkers,
+        # which name the bad component: the one-row chain of that content is
+        # a semistandard and a rim-hook tableau
+        cases = [
+            (((), (1,), (1, 2)), ((), (1,), (3,)), ((3,), (1, 2))),
+            (((), (1,), (1, 2), (2, 2)), ((), (1,), (3,), (4,)), ((4,), (2, 3), (1,))),
+        ]
+        for bad, row, cycles in cases:
+            assert not validator(bad, bad[-1], chain_content(bad))
+            if validator is is_rht:
+                for s, t in [(bad, row), (row, bad)]:
+                    which = "first" if s is bad else "second"
+                    with pytest.raises(ValueError, match=which + " component is not a rim-hook"):
+                        _check_rht(s, t, cycles, _Memo())
+            elif validator is is_ssyt:
+                with pytest.raises(ValueError, match="first component is not semistandard"):
+                    _check_kostka(bad, row, _Memo())
+            else:
+                with pytest.raises(ValueError, match="second component is not a special"):
+                    _check_kostka(row, bad, _Memo())
 
     def test_walk_rejects_parts_below_one(self):
         succ = lambda shape, length: [shape[:-1]] if shape[-1:] == (length,) else []

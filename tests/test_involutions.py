@@ -7,7 +7,15 @@ from math import factorial
 
 import pytest
 
-from combinv.core import Filling, chain_of, compositions, filling_of, partitions, walk_chains
+from combinv.core import (
+    Filling,
+    chain_content,
+    chain_of,
+    compositions,
+    filling_of,
+    partitions,
+    walk_chains,
+)
 from combinv.framework import local_terms
 from combinv.involutions import (
     KostkaPair,
@@ -15,7 +23,6 @@ from combinv.involutions import (
     _Memo,
     _check_kostka,
     _check_rht,
-    _content,
     _kostka_pair_set,
     _kostka_step,
     _rht_step,
@@ -353,7 +360,7 @@ class TestRhtInvolution:
         # the step replaces T by a rim-hook tableau of shape (3,) and the
         # same content: an image the checker passes, outside the pair set
         def move_t(s, t, cycles, memo, trace):
-            t_moved, *_ = walk_chains(hook_successors, (3,), _content(t))
+            t_moved, *_ = walk_chains(hook_successors, (3,), chain_content(t))
             return s, t_moved, cycles
 
         monkeypatch.setattr(involutions, "_rht_step", move_t)
@@ -374,27 +381,36 @@ class TestAuditMemo:
         "app, lam, mu, size",
         [("kostka", (3, 2), (1,) * 5, 28), ("rimhook", (3, 1, 1), (3, 1, 1), 280)],
     )
-    def test_chain_of_runs_once_per_distinct_filling(self, monkeypatch, app, lam, mu, size):
-        # only enumerate_ssyt hands the audit Fillings, each turned into its
-        # chain once; the rim-hook side walks chains and meets none.  The
-        # pair-set builder and the step ask every tableau check and local
-        # pairing through the one memo the audit's objects and images
-        # share, so each distinct one runs once
-        from combinv import involutions
+    def test_audit_builds_no_filling(self, monkeypatch, app, lam, mu, size):
+        # both audits walk chains and meet no Filling: neither converts
+        # between a chain and a Filling, wherever core, kostka and
+        # involutions bind the conversions.  The pair-set builder and the
+        # step ask every tableau check and local pairing through the one
+        # memo the audit's objects and images share, so each distinct one
+        # runs once
+        from combinv import core, involutions, kostka
 
         calls = {}
-        for name in ("chain_of", "is_ssyt", "is_srht", "is_rht", "kostka_pair", "rimhook_pair"):
-            original = getattr(involutions, name)
 
-            def counting(*args, _name=name, _original=original):
-                calls.setdefault(_name, []).append(args)
-                return _original(*args)
+        def count(module, name):
+            original = getattr(module, name)
 
-            monkeypatch.setattr(involutions, name, counting)
+            def counting(*args):
+                calls.setdefault(name, []).append(args)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        for module in (core, kostka, involutions):
+            for name in ("chain_of", "filling_of"):
+                if hasattr(module, name):
+                    count(module, name)
+        for name in ("is_ssyt", "is_srht", "is_rht", "kostka_pair", "rimhook_pair"):
+            count(involutions, name)
         report = verify_pairing(app, lam, mu)
         assert report.passed and report.size == size
         assert all(len(args) == len(set(args)) for args in calls.values())
-        assert (len(calls.get("chain_of", ())) > 0) == (app == "kostka")
+        assert not calls.get("chain_of") and not calls.get("filling_of")
         checks = ("is_ssyt", "is_srht") if app == "kostka" else ("is_rht",)
         assert all(calls.get(name) for name in checks + (PAIRING_NAMES[app],))
 

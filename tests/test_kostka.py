@@ -4,8 +4,10 @@ from combinv.core import (
     Filling,
     chain_of,
     compositions,
+    filling_of,
     is_partition,
     partitions,
+    walk_chains,
 )
 from combinv.framework import build_A, build_B
 from combinv.kostka import (
@@ -17,6 +19,7 @@ from combinv.kostka import (
     srh_removals,
     rht_sign,
     srht_find,
+    ssyt_chains,
     strip_removals,
 )
 from oracles import (
@@ -110,6 +113,15 @@ class TestSsyt:
         assert enumerate_ssyt((1, 1, 1, 1), (4,)) == []
         with pytest.raises(ValueError):
             enumerate_ssyt((2, 1), (2, 2))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_chain_order_is_row_major(self, n):
+        # the chain key orders tableaux as sorting their Fillings by rows does
+        for lam in partitions(n):
+            for beta in compositions(n):
+                walked = map(filling_of, walk_chains(strip_removals, lam, beta))
+                expected = sorted(walked, key=lambda f: f.rows)
+                assert [filling_of(c) for c in ssyt_chains(lam, beta)] == expected
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_enumeration_matches_brute_force(self, n):

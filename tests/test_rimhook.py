@@ -336,6 +336,13 @@ class TestAbacus:
         abacus = abacus_from_partition((3, 1), 4)
         assert Abacus.from_json(abacus.to_json()) == abacus
 
+    def test_json_bead_count_is_an_int(self):
+        # 2.7 is not read as 2 beads, nor "2" or True as a count
+        for beads in [2.7, 2.0, "2", True, None]:
+            with pytest.raises(ValueError, match="bead count must be an integer"):
+                Abacus.from_json({"beads": beads, "word": "101"})
+        assert Abacus.from_json({"beads": 2, "word": "101"}) == Abacus(2, (1, 0, 1))
+
     def test_words_are_binary(self):
         # a bead is a 1 and a gap a 0; any other entry is refused by both
         # constructors rather than read as a gap or a bead
